@@ -113,8 +113,7 @@ def test_fault_containment_overhead(benchmark, request, tmp_path):
         ["inert plan consults", consults,
          f"fired={inert_plan.total_fired()} across {len(SEAMS)} seams"],
         ["plain engine failures", plain_engine.requests_failed,
-         f"pool rebuilds={plain_engine.pool_rebuilds}, "
-         f"degradations={plain_engine.pool_degradations}"],
+         f"store_degraded={plain_engine.store_degraded}"],
         ["degraded-store settle", f"{degrade_wall * 1e3:.1f}ms",
          "every artifact write failing (no wall guard)"],
         ["degraded-store health",

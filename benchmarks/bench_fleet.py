@@ -18,17 +18,12 @@ Min fleet service (:mod:`repro.min.fleet`) and reports:
 * **adoption compiles** — the warm worker must specialize **zero**
   functions (its whole hot set comes out of the artifact store);
 * **steady-state throughput and latency** — requests/s, p50 and p99
-  request latency over the warm replay window;
-* **pool byte-identity** — the same fleet batch compiled with
-  ``pool="thread"`` (jobs=1) and ``pool="process"`` (jobs=2) must leave
-  byte-identical artifact stores.
+  request latency over the warm replay window.
 
 Regression guards (CI, ``--quick``): warm worker compiles 0 functions
-and reaches steady state >= 3x faster than cold profile discovery;
-process-pool artifacts byte-identical to the thread pool.
+and reaches steady state >= 3x faster than cold profile discovery.
 """
 
-import os
 import tempfile
 import time
 
@@ -187,44 +182,3 @@ def test_fleet_warm_start(benchmark, request):
         # Only the two cold admin requests ran generically: the hot
         # endpoints never paid a tier-0 call on the warm worker.
         assert controller.stats.tier0_calls == 2
-
-
-def test_fleet_pool_byte_identity(benchmark, request):
-    """The fleet batch compiled via the process pool must leave an
-    artifact store byte-identical to the thread pool's."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-    def compile_fleet(pool, jobs):
-        tmp = tempfile.mkdtemp(prefix=f"fleet_{pool}_")
-        _, controller = make_fleet_worker(
-            ENDPOINTS, threshold=THRESHOLD,
-            options=SpecializeOptions(backend="py", jobs=jobs, pool=pool,
-                                      cache_dir=tmp))
-        controller.promote_all()
-        return tmp
-
-    def snapshot(root):
-        files = {}
-        for sub in ("spec", "py"):
-            directory = os.path.join(root, sub)
-            for entry in sorted(os.listdir(directory)):
-                with open(os.path.join(directory, entry), "rb") as fh:
-                    files[f"{sub}/{entry}"] = fh.read()
-        return files
-
-    thread_root = compile_fleet("thread", 1)
-    process_root = compile_fleet("process", 2)
-    thread_files = snapshot(thread_root)
-    process_files = snapshot(process_root)
-    assert thread_files == process_files, (
-        "process-pool artifacts diverge from the thread pool's")
-    assert len(thread_files) == 2 * len(ENDPOINTS)
-
-    rows = [
-        ["artifacts compared", len(thread_files),
-         "spec/ + py/, all byte-identical"],
-        ["pool flavors", "thread jobs=1 vs process jobs=2", ""],
-    ]
-    write_result("fleet_pool_identity",
-                 "Fleet batch — pool byte-identity\n" +
-                 format_table(["metric", "value", "detail"], rows))

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import write_result
 from repro.bench import format_table
-from repro.core.stats import SpecializationStats
+from repro.core.stats import SpecializationStats, merge_stats
 from repro.jsvm import JSRuntime
 from repro.jsvm.workloads import WORKLOADS
 
@@ -23,7 +23,7 @@ def totals():
     for name in SUBSET:
         rt = JSRuntime(WORKLOADS[name], "wevaled_state")
         rt.aot_compile()
-        total.merge(rt.compiler.total_stats)
+        merge_stats(total, rt.compiler.total_stats)
     return total
 
 

@@ -160,25 +160,20 @@ def test_backend_speedup(benchmark, request):
          "fuel identical (asserted)"],
         ["speedup", f"{cmp.speedup:.2f}x", "interp vs compiled"],
     ]
-    # Engine artifact cache: cold vs warm compile, serial vs pooled.
-    # (The warm-start contract — zero functions specialized, residual IR
-    # byte-identical — is asserted inside the helper.)
-    for jobs in (1, 4):
-        report = run_engine_cache_report(
-            NAME, "wevaled_state", jobs=jobs,
-            cache_dir=(CACHE_DIR if jobs == 1 else None))
-        rows.append(
-            [f"engine AOT cold (jobs={jobs})",
-             f"{report.cold_seconds:.2f}s",
-             f"{report.cold_specialized} specialized, "
-             f"{report.requests} requests"])
-        rows.append(
-            [f"engine AOT warm (jobs={jobs})",
-             f"{report.warm_seconds:.2f}s",
-             f"{report.warm_artifact_hits} artifact hits, "
-             f"0 specialized"])
-        assert report.warm_seconds < report.cold_seconds or \
-            report.cold_specialized == 0  # pre-warmed CI cache dir
+    # Engine artifact cache: cold vs warm compile.  (The warm-start
+    # contract — zero functions specialized, residual IR byte-identical
+    # — is asserted inside the helper.)
+    report = run_engine_cache_report(NAME, "wevaled_state",
+                                     cache_dir=CACHE_DIR)
+    rows.append(
+        ["engine AOT cold", f"{report.cold_seconds:.2f}s",
+         f"{report.cold_specialized} specialized, "
+         f"{report.requests} requests"])
+    rows.append(
+        ["engine AOT warm", f"{report.warm_seconds:.2f}s",
+         f"{report.warm_artifact_hits} artifact hits, 0 specialized"])
+    assert report.warm_seconds < report.cold_seconds or \
+        report.cold_specialized == 0  # pre-warmed CI cache dir
     write_result("backend_speedup",
                  "Tier-2 backend — %s (%s)\n%s" % (
                      NAME, cmp.config,
@@ -194,35 +189,49 @@ def test_code_object_cache_warm_start(benchmark, tmp_path):
     objects (marshal, keyed by interpreter magic) beside emitted source,
     so a warm start skips Python parse+compile entirely.
 
-    One cold compile populates the store in ``codegen="code"`` mode;
-    then two fresh warm runtimes replay it — one decoding the stored
-    code objects, one forced back to source — and the code path must
+    One cold compile populates the store; then two fresh warm runtimes
+    replay it — one decoding the stored code objects, one over a copy
+    of the store whose bytecode magic was rewritten as another CPython
+    would leave it, so it falls back to source — and the code path must
     report a code hit for every source hit while producing the same
     residuals (byte-identity is the engine warm-start contract asserted
     elsewhere; here both paths must at least *run* identically)."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    import json
+    import shutil
     from repro.core.specialize import SpecializeOptions
     store = str(tmp_path / "store")
+    skewed = str(tmp_path / "skewed")
 
-    def aot(codegen):
+    def aot(cache_dir):
         rt = JSRuntime(WORKLOADS[NAME], "wevaled_state",
                        options=SpecializeOptions(backend="py",
-                                                 codegen=codegen,
-                                                 cache_dir=store))
+                                                 cache_dir=cache_dir))
         start = time.perf_counter()
         rt.aot_compile()
         return time.perf_counter() - start, rt
 
-    cold_seconds, rt_cold = aot("code")
-    warm_src_seconds, rt_src = aot("source")
-    warm_code_seconds, rt_code = aot("code")
+    cold_seconds, rt_cold = aot(store)
+    shutil.copytree(store, skewed)
+    py_dir = os.path.join(skewed, "py")
+    for entry in os.listdir(py_dir):
+        path = os.path.join(py_dir, entry)
+        with open(path) as handle:
+            data = json.load(handle)
+        if "py_magic" in data:
+            data["py_magic"] = "00000000"
+            with open(path, "w") as handle:
+                json.dump(data, handle)
+    warm_src_seconds, rt_src = aot(skewed)
+    warm_code_seconds, rt_code = aot(store)
     src_stats = rt_src.compiler.engine.stats
     code_stats = rt_code.compiler.engine.stats
     rows = [
-        ["cold AOT (codegen=code)", f"{cold_seconds:.2f}s",
+        ["cold AOT", f"{cold_seconds:.2f}s",
          f"{rt_cold.compiler.engine.stats.functions_specialized} "
          f"specialized, store populated"],
-        ["warm AOT (source cache)", f"{warm_src_seconds:.3f}s",
+        ["warm AOT (source cache, skewed magic)",
+         f"{warm_src_seconds:.3f}s",
          f"{src_stats.backend_source_hits} source hits, "
          f"{src_stats.backend_code_hits} code hits"],
         ["warm AOT (code-object cache)", f"{warm_code_seconds:.3f}s",
@@ -234,8 +243,8 @@ def test_code_object_cache_warm_start(benchmark, tmp_path):
                  format_table(["metric", "value", "detail"], rows))
     assert code_stats.functions_specialized == 0
     assert src_stats.functions_specialized == 0
-    # The source-mode replay must never decode code objects; the
-    # code-mode replay must decode one per stored source hit.
+    # The skewed replay must never decode code objects; the code-object
+    # replay must decode one per stored source hit.
     assert src_stats.backend_code_hits == 0
     assert code_stats.backend_code_hits > 0
     assert code_stats.backend_code_hits == code_stats.backend_source_hits

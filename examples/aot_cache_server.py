@@ -51,12 +51,12 @@ print(serve());
 """
 
 
-def boot(label: str, cache_dir: str, jobs: int = 2):
+def boot(label: str, cache_dir: str):
     """One server boot: build the runtime, AOT-compile (through the
     engine + artifact store), serve one request."""
     start = time.perf_counter()
     rt = JSRuntime(SERVICE_SRC, "wevaled_state",
-                   options=SpecializeOptions(backend="py", jobs=jobs,
+                   options=SpecializeOptions(backend="py",
                                              cache_dir=cache_dir))
     rt.aot_compile()
     aot_seconds = time.perf_counter() - start
@@ -65,7 +65,7 @@ def boot(label: str, cache_dir: str, jobs: int = 2):
 
     print(f"--- {label} ---")
     print(f"AOT compile: {aot_seconds * 1000:7.1f}ms  "
-          f"({stats.requests} requests, jobs={stats.jobs})")
+          f"({stats.requests} requests)")
     print(f"  specialized fresh:   {stats.functions_specialized}")
     print(f"  loaded from disk:    {stats.artifact_hits} residuals, "
           f"{stats.backend_source_hits} backend sources")

@@ -1248,8 +1248,8 @@ def compile_python_source(name: str, source: str,
     Split out from :func:`compile_function` so warm-loaded sources from
     the artifact store (:mod:`repro.pipeline`) take the exact same path
     as freshly emitted ones.  ``code`` may carry a precompiled code
-    object for ``source`` (the tier-3½ codegen rung: unmarshaled from
-    the artifact store, or compiled in a parallel emit stage), in which
+    object for ``source`` (the tier-3½ rung: unmarshaled from the
+    artifact store, or compiled in the engine's emit stage), in which
     case the ``compile()`` step is skipped.
     """
     env = dict(BACKEND_GLOBALS)

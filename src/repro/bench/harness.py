@@ -117,17 +117,15 @@ def dispatch_stats(module, names) -> Tuple[int, int, int]:
 
 def run_backend_comparison(name: str, config: str = "wevaled_state",
                            repeats: int = 3,
-                           jobs: Optional[int] = None,
                            cache_dir: Optional[str] = None
                            ) -> BackendComparison:
     """AOT-compile one workload once, then run the snapshot both ways —
     residual IR on the VM and residual compiled to Python — asserting
     identical printed output and fuel before reporting the speedup.
 
-    ``jobs``/``cache_dir`` configure the compilation engine (worker pool
-    and persistent artifact store); they must not change any output,
-    only compile time."""
-    rt = JSRuntime(WORKLOADS[name], config, jobs=jobs, cache_dir=cache_dir)
+    ``cache_dir`` configures the compilation engine's persistent
+    artifact store; it must not change any output, only compile time."""
+    rt = JSRuntime(WORKLOADS[name], config, cache_dir=cache_dir)
     start = time.perf_counter()
     rt.aot_compile()
     aot_seconds = time.perf_counter() - start
@@ -172,7 +170,7 @@ def run_backend_comparison(name: str, config: str = "wevaled_state",
 
 @dataclasses.dataclass
 class EngineCacheReport:
-    """Cold-vs-warm engine compile of one workload (one worker count).
+    """Cold-vs-warm engine compile of one workload.
 
     The warm run is a *fresh* runtime over the same ``cache_dir``; the
     engine's warm-start contract (asserted here) is that it specializes
@@ -180,7 +178,6 @@ class EngineCacheReport:
 
     name: str
     config: str
-    jobs: int
     requests: int
     cold_seconds: float
     warm_seconds: float
@@ -190,7 +187,6 @@ class EngineCacheReport:
 
 
 def run_engine_cache_report(name: str, config: str = "wevaled_state",
-                            jobs: int = 1,
                             cache_dir: Optional[str] = None
                             ) -> EngineCacheReport:
     """Measure cold (empty artifact store) vs warm (fully populated)
@@ -202,15 +198,13 @@ def run_engine_cache_report(name: str, config: str = "wevaled_state",
     own_dir = cache_dir is None
     root = tempfile.mkdtemp(prefix="repro-aot-") if own_dir else cache_dir
     try:
-        rt_cold = JSRuntime(WORKLOADS[name], config, jobs=jobs,
-                            cache_dir=root)
+        rt_cold = JSRuntime(WORKLOADS[name], config, cache_dir=root)
         start = time.perf_counter()
         rt_cold.aot_compile()
         cold_seconds = time.perf_counter() - start
         cold_stats = rt_cold.compiler.engine.stats
 
-        rt_warm = JSRuntime(WORKLOADS[name], config, jobs=jobs,
-                            cache_dir=root)
+        rt_warm = JSRuntime(WORKLOADS[name], config, cache_dir=root)
         start = time.perf_counter()
         rt_warm.aot_compile()
         warm_seconds = time.perf_counter() - start
@@ -235,7 +229,6 @@ def run_engine_cache_report(name: str, config: str = "wevaled_state",
         return EngineCacheReport(
             name=name,
             config=config,
-            jobs=jobs,
             requests=warm_stats.requests,
             cold_seconds=cold_seconds,
             warm_seconds=warm_seconds,

@@ -11,9 +11,9 @@ output.
 The same key identifies entries in the *persistent* artifact store
 (:mod:`repro.pipeline.artifacts`); :func:`request_key` is the shared
 key constructor so the in-memory and on-disk tiers can never disagree
-about identity.  Note that engine-only knobs (``jobs``, ``cache_dir``)
-are deliberately *not* part of the key: they change how fast the output
-is produced, never what it is.
+about identity.  Note that the engine-only ``cache_dir`` is deliberately
+*not* part of the key: it changes how fast the output is produced,
+never what it is.
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ are patched, and execution resumes from the snapshot.
    call :meth:`enqueue`);
 3. ``process_requests()`` — hand the whole batch to the
    :class:`~repro.pipeline.engine.CompilationEngine` (which specializes
-   through the in-memory cache and the on-disk artifact store, in
-   parallel when ``options.jobs > 1``), then — single-threaded, in
-   request order — append each function to the module, register it in
+   through the in-memory cache and the on-disk artifact store), then —
+   in request order — append each function to the module, register it in
    the function table, and patch the 64-bit result slot in the heap
    with the table index;
 4. ``freeze()`` — write the heap back as the module's initial memory;
@@ -24,7 +23,7 @@ are patched, and execution resumes from the snapshot.
    code via ``call_indirect``.
 
 All three guest runtimes (`jsvm`, `luavm`, `min`) drive their AOT flow
-through this class, so engine configuration (``jobs=``, ``cache_dir=``,
+through this class, so engine configuration (``cache_dir=``,
 ``backend=`` on :class:`~repro.core.specialize.SpecializeOptions`) is
 the *only* per-runtime compilation wiring left.
 """
@@ -38,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core.cache import SpecializationCache
 from repro.core.request import SpecializationRequest
 from repro.core.specialize import SpecializeOptions
-from repro.core.stats import SpecializationStats
+from repro.core.stats import SpecializationStats, merge_stats
 from repro.ir.module import Module
 from repro.vm.machine import VM
 
@@ -63,14 +62,13 @@ class SnapshotCompiler:
     def __init__(self, module: Module,
                  options: Optional[SpecializeOptions] = None,
                  cache: Optional[SpecializationCache] = None,
-                 jobs: Optional[int] = None,
                  cache_dir: Optional[str] = None):
         from repro.pipeline.engine import CompilationEngine
         self.module = module
         self.options = options or SpecializeOptions()
         self.cache = cache
         self.engine = CompilationEngine(module, self.options, cache,
-                                        jobs=jobs, cache_dir=cache_dir)
+                                        cache_dir=cache_dir)
         self.vm: Optional[VM] = None
         self.pending: List[Tuple[SpecializationRequest, int]] = []
         self.processed: List[ProcessedRequest] = []
@@ -137,7 +135,7 @@ class SnapshotCompiler:
             func = result.function
             stats = getattr(func, "_weval_stats", None)
             if stats is not None:
-                self.total_stats.merge(stats)
+                merge_stats(self.total_stats, stats)
             self.module.add_function(func)
             index = self.module.add_table_entry(func.name)
             vm.store_u64(result_addr, index)
@@ -185,8 +183,8 @@ class SnapshotCompiler:
         in that case); a partial list compiles only those functions and
         leaves the full set to a later call.  Functions the emitter
         cannot express are recorded in ``backend_fallbacks`` and stay on
-        the IR VM.  Delegates to the engine, so emission runs on the
-        worker pool and emitted source persists in the artifact store.
+        the IR VM.  Delegates to the engine, so emitted source persists
+        in the artifact store.
         """
         full = names is None
         if full:

@@ -68,7 +68,7 @@ from repro.core.state import (
     states_equal_observable,
     unstable_slots,
 )
-from repro.core.stats import SpecializationStats
+from repro.core.stats import SpecializationStats, merge_stats
 from repro.ir.cfg import reverse_postorder
 from repro.ir.clone import clone_function
 from repro.ir.renumber import canonicalize_function
@@ -119,27 +119,10 @@ class SpecializeOptions:
     # residual IR is unaffected, so this is not part of the specializer
     # cache key — but it IS part of the emitted-artifact key.
     emit_mode: str = "structured"
-    # Artifact granularity for the py backend's warm start: "code"
-    # additionally persists the ``compile()``d code object (marshal,
-    # keyed by the interpreter magic) beside the emitted source, so a
-    # warm restart skips parsing/compiling entirely; "source" stores
-    # text only.  Loads silently fall back to source on any
-    # marshal/interpreter skew, so results are identical either way —
-    # this knob is NOT part of any cache key.
-    codegen: str = "code"
-    # Compilation-engine knobs (repro.pipeline): worker count for batch
-    # compilation and the root of the persistent on-disk artifact store
-    # (None disables persistence).  Neither affects specialization
-    # *output*, so neither is part of any cache key.
-    jobs: int = 1
+    # Root of the compilation engine's persistent on-disk artifact store
+    # (repro.pipeline; None disables persistence).  It does not affect
+    # specialization *output*, so it is not part of any cache key.
     cache_dir: Optional[str] = None
-    # Worker-pool flavor for the engine's pure specialize stage:
-    # "thread" shares the module in-process; "process" ships the module
-    # (serialized, import signatures only) to a ProcessPoolExecutor and
-    # sidesteps the GIL.  Output is bit-identical either way — the
-    # determinism tier asserts it — so, like ``jobs``, this is NOT part
-    # of any cache key.
-    pool: str = "thread"
     max_revisits: int = 64             # per-key convergence safeguard
     max_value_specializations: int = 4096
     max_iterations: int = 2_000_000
@@ -151,7 +134,7 @@ class SpecializeOptions:
     # Deterministic fault injection for the robustness tier
     # (repro.pipeline.faults.FaultPlan, or None for production).  The
     # plan only *fails* pipeline stages — it never changes what a
-    # successful compile produces — so, like ``jobs``/``pool``, it is
+    # successful compile produces — so, like ``cache_dir``, it is
     # deliberately NOT part of any cache key.
     fault_plan: Optional[object] = None
     # Escape hatch for the fixpoint engine's throughput machinery:
@@ -169,12 +152,6 @@ class SpecializeOptions:
             raise ValueError(f"bad backend {self.backend!r}")
         if self.emit_mode not in ("structured", "dispatch"):
             raise ValueError(f"bad emit_mode {self.emit_mode!r}")
-        if self.codegen not in ("source", "code"):
-            raise ValueError(f"bad codegen {self.codegen!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.pool not in ("thread", "process"):
-            raise ValueError(f"bad pool {self.pool!r}")
         from repro.opt.pass_manager import PIPELINES
         if self.opt_config not in PIPELINES:
             raise ValueError(f"bad opt_config {self.opt_config!r}")
@@ -1111,7 +1088,7 @@ def specialize(module: Module, request: SpecializationRequest,
                               exhaustive=options.debug_exhaustive)
         canonicalize_function(func)
         if stats is not None:
-            stats.merge(spec_stats)
+            merge_stats(stats, spec_stats)
         func._weval_stats = spec_stats  # noqa: SLF001
         return func
     spec = _Specializer(module, request, options, memory)
@@ -1124,6 +1101,6 @@ def specialize(module: Module, request: SpecializationRequest,
                           verify=options.verify_opt or None,
                           exhaustive=options.debug_exhaustive)
     if stats is not None:
-        stats.merge(spec.stats)
+        merge_stats(stats, spec.stats)
     func._weval_stats = spec.stats  # noqa: SLF001 - attached for reporting
     return func

@@ -10,6 +10,7 @@ counters fed by the pass manager.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict
 
 
@@ -25,12 +26,6 @@ class PassStats:
     changes: int = 0
     skips: int = 0
     seconds: float = 0.0
-
-    def merge(self, other: "PassStats") -> None:
-        self.runs += other.runs
-        self.changes += other.changes
-        self.skips += other.skips
-        self.seconds += other.seconds
 
 
 @dataclasses.dataclass
@@ -68,15 +63,6 @@ class PipelineStats:
     def instrs_removed(self) -> int:
         return self.instrs_before - self.instrs_after
 
-    def merge(self, other: "PipelineStats") -> None:
-        for field in dataclasses.fields(self):
-            if field.name == "per_pass":
-                continue
-            setattr(self, field.name,
-                    getattr(self, field.name) + getattr(other, field.name))
-        for name, stats in other.per_pass.items():
-            self.pass_stats(name).merge(stats)
-
 
 @dataclasses.dataclass
 class EngineStats:
@@ -100,24 +86,13 @@ class EngineStats:
                                      # object (no re-parse/compile)
     backend_fallbacks: int = 0
     inline_requests: int = 0         # requests carrying an inline plan
-    specialize_seconds: float = 0.0  # summed across workers (CPU-ish)
-    emit_seconds: float = 0.0        # summed across workers
+    specialize_seconds: float = 0.0  # stage 1 (load or specialize)
+    emit_seconds: float = 0.0        # stage 2 (backend emission)
     wall_seconds: float = 0.0        # batch wall clock
-    jobs: int = 0                    # max worker count used so far
     # Fault containment (PR 9): per-request failures and degradations.
     requests_failed: int = 0         # results returned with .error set
-    pool_rebuilds: int = 0           # broken process pool, rebuilt once
-    pool_degradations: int = 0       # ... broken again: threads for good
     store_write_failures: int = 0    # artifact-store writes that failed
     store_degraded: int = 0          # 1 while the store is memory-only
-
-    def merge(self, other: "EngineStats") -> None:
-        for field in dataclasses.fields(self):
-            if field.name == "jobs":
-                self.jobs = max(self.jobs, other.jobs)
-                continue
-            setattr(self, field.name,
-                    getattr(self, field.name) + getattr(other, field.name))
 
 
 @dataclasses.dataclass
@@ -153,11 +128,6 @@ class TieringStats:
     blacklists: int = 0              # functions pinned tier-0 for good
     storm_pins: int = 0              # functions pinned generic by the
                                      # deopt-storm breaker
-
-    def merge(self, other: "TieringStats") -> None:
-        for field in dataclasses.fields(self):
-            setattr(self, field.name,
-                    getattr(self, field.name) + getattr(other, field.name))
 
 
 @dataclasses.dataclass
@@ -197,15 +167,6 @@ class SpecializationStats:
     # Post-specialization mid-end accounting (filled by the pass manager).
     opt: PipelineStats = dataclasses.field(default_factory=PipelineStats)
 
-    def merge(self, other: "SpecializationStats") -> None:
-        for field in dataclasses.fields(self):
-            mine = getattr(self, field.name)
-            if hasattr(mine, "merge"):
-                mine.merge(getattr(other, field.name))
-            else:
-                setattr(self, field.name,
-                        mine + getattr(other, field.name))
-
     # Convenience ratios for the S6.2/S6.5-style reports.
     def intern_hit_rate(self) -> float:
         total = self.intern_hits + self.intern_misses
@@ -232,3 +193,26 @@ class SpecializationStats:
     def local_store_elision_rate(self) -> float:
         total = self.local_stores_elided + self.local_stores_real
         return self.local_stores_elided / total if total else 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls) -> tuple:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def merge_stats(total, other) -> None:
+    """Add ``other``'s counters into ``total`` field by field: numbers
+    add, nested stats recurse, and ``per_pass`` dicts merge by pass
+    name."""
+    for name in _field_names(type(total)):
+        mine = getattr(total, name)
+        theirs = getattr(other, name)
+        if isinstance(mine, (int, float)):
+            setattr(total, name, mine + theirs)
+        elif isinstance(mine, dict):
+            for key, stats in theirs.items():
+                if key not in mine:
+                    mine[key] = type(stats)()
+                merge_stats(mine[key], stats)
+        else:
+            merge_stats(mine, theirs)

@@ -82,7 +82,6 @@ class JSRuntime:
                  memory_size: int = 1 << 22,
                  cache: Optional[SpecializationCache] = None,
                  options: Optional[SpecializeOptions] = None,
-                 jobs: Optional[int] = None,
                  cache_dir: Optional[str] = None):
         if config not in CONFIGS:
             raise ValueError(f"bad config {config!r}")
@@ -98,14 +97,11 @@ class JSRuntime:
         self.ic_attaches = 0
         self.cache = cache
         self.options = options or SpecializeOptions()
-        # Engine configuration shorthands (equivalent to setting the
-        # fields on ``options`` directly).
-        if jobs is not None or cache_dir is not None:
-            self.options = dataclasses.replace(
-                self.options,
-                jobs=jobs if jobs is not None else self.options.jobs,
-                cache_dir=(cache_dir if cache_dir is not None
-                           else self.options.cache_dir))
+        # Engine configuration shorthand (equivalent to setting the
+        # field on ``options`` directly).
+        if cache_dir is not None:
+            self.options = dataclasses.replace(self.options,
+                                               cache_dir=cache_dir)
 
         self._add_interpreters()
         self.func_addrs: Dict[int, int] = {}
@@ -473,7 +469,6 @@ class JSRuntime:
     def run_tiered(self, threshold: float = None,
                    speculate: bool = False,
                    backend: Optional[str] = None,
-                   jobs: Optional[int] = None,
                    cache_dir: Optional[str] = None,
                    compile_threshold: int = 0,
                    inline: bool = False,
@@ -502,7 +497,7 @@ class JSRuntime:
             kwargs["inline_max_targets"] = inline_max_targets
         controller = self._make_controller(
             options, threshold=threshold,
-            speculate=speculate, jobs=jobs, cache_dir=cache_dir,
+            speculate=speculate, cache_dir=cache_dir,
             compile_threshold=compile_threshold, inline=inline, **kwargs)
         vm = controller.attach(VM(self.module))
         self.controller = controller

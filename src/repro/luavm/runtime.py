@@ -151,10 +151,8 @@ class LuaRuntime:
     """Compile a MiniLua chunk, run it interpreted or AOT-compiled.
 
     The AOT path goes through :class:`SnapshotCompiler` and therefore
-    the compilation engine: pass
-    ``SpecializeOptions(jobs=..., cache_dir=...)`` (here or to
-    :meth:`aot_compile`) for parallel batch compilation and the
-    persistent artifact cache.
+    the compilation engine: pass ``SpecializeOptions(cache_dir=...)``
+    (here or to :meth:`aot_compile`) for the persistent artifact cache.
     """
 
     def __init__(self, source: str, memory_size: int = 1 << 22,
@@ -299,7 +297,6 @@ class LuaRuntime:
                    speculate: bool = False,
                    backend: Optional[str] = None,
                    options: Optional[SpecializeOptions] = None,
-                   jobs: Optional[int] = None,
                    cache_dir: Optional[str] = None,
                    compile_threshold: int = 0) -> VM:
         """Run the chunk under profile-guided dynamic tier-up.
@@ -317,7 +314,7 @@ class LuaRuntime:
             options = dataclasses.replace(options, backend=backend)
         controller = self._make_controller(
             options, threshold=threshold,
-            speculate=speculate, jobs=jobs, cache_dir=cache_dir,
+            speculate=speculate, cache_dir=cache_dir,
             compile_threshold=compile_threshold)
         vm = controller.attach(VM(self.module))
         self.controller = controller

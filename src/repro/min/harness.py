@@ -144,7 +144,6 @@ def _time(fn: Callable[[], int], repeats: int = 1):
 
 def run_fig8_configs(n: int = 1000, repeats: int = 1,
                      backend: str = "vm",
-                     jobs: Optional[int] = None,
                      cache_dir: Optional[str] = None
                      ) -> Dict[str, ConfigResult]:
     """Run all five Fig. 8 configurations on sum-to-n; returns per-config
@@ -155,16 +154,14 @@ def run_fig8_configs(n: int = 1000, repeats: int = 1,
     ``wevaled_state_py``), whose fuel must be identical to the IR-VM
     runs — only the wall clock moves.  Both residuals are compiled as
     one :class:`~repro.pipeline.engine.CompilationEngine` batch;
-    ``jobs``/``cache_dir`` configure the worker pool and the persistent
-    artifact cache.
+    ``cache_dir`` configures the persistent artifact cache.
     """
     from repro.pipeline.tiering import TieringController
 
     program = sum_to_n_program(n)
     module = build_min_module(program)
     compile_source(SUM_COMPILED_SRC).add_to_module(module)
-    options = SpecializeOptions(backend=backend, jobs=jobs or 1,
-                                cache_dir=cache_dir)
+    options = SpecializeOptions(backend=backend, cache_dir=cache_dir)
     # AOT is "promote everything at startup" through the tiering
     # controller: both variants compile as one engine batch.  The second
     # entry's profile key is disambiguated by its slot (the harness never
@@ -230,7 +227,6 @@ def make_tiered_min(program: MinProgram,
                     speculate: bool = False,
                     use_intrinsics: bool = True,
                     options: Optional[SpecializeOptions] = None,
-                    jobs: Optional[int] = None,
                     cache_dir: Optional[str] = None,
                     compile_threshold: int = 0):
     """The ``mode="tiered"`` entry point for Min.
@@ -247,7 +243,7 @@ def make_tiered_min(program: MinProgram,
 
     module = build_min_module(program)
     controller = TieringController(
-        module, options, jobs=jobs, cache_dir=cache_dir,
+        module, options, cache_dir=cache_dir,
         threshold=threshold, speculate=speculate,
         compile_threshold=compile_threshold)
     controller.register(min_tier_entry(program, use_intrinsics,

@@ -3,19 +3,16 @@
 This package unifies the per-runtime AOT flows behind one subsystem,
 the paper's production story (S6.5) made concrete:
 
-* :class:`~repro.pipeline.engine.CompilationEngine` — batch
-  specialize → opt → verify → emit with a worker pool (``jobs=``;
-  ``pool="thread"`` shares the module in-process, ``pool="process"``
-  ships it to a ``ProcessPoolExecutor``); pure stages run concurrently,
-  all module mutation and cache accounting is applied in request order,
-  so outputs are bit-identical at any worker count and pool flavor;
+* :class:`~repro.pipeline.engine.CompilationEngine` — serial batch
+  specialize → opt → verify → emit; every stage, all module mutation
+  and all cache accounting run in request order, and each request's
+  failures are contained to that request;
 * :class:`~repro.pipeline.artifacts.ArtifactStore` — the persistent
   on-disk cache (``cache_dir=``) of residual IR and emitted backend
   source, keyed by the same fingerprints as the in-memory
   :class:`~repro.core.cache.SpecializationCache`;
 * :mod:`~repro.pipeline.serialize` — structural JSON round-tripping of
-  IR functions, specialization requests, and compile-side modules with
-  a strict corruption-is-a-miss contract;
+  IR functions with a strict corruption-is-a-miss contract;
 * :class:`~repro.pipeline.tiering.TieringController` — profile-guided
   dynamic tier-up at run time (tier 0 generic interpreter → tier 1
   residual IR → tier 2 compiled Python), with guarded speculation and
@@ -32,7 +29,7 @@ the paper's production story (S6.5) made concrete:
 Every embedder reaches this layer through
 :class:`~repro.core.snapshot.SnapshotCompiler`, which delegates its
 ``process_requests()`` / ``compile_backend()`` to an engine; configure
-it with ``SpecializeOptions(jobs=..., pool=..., cache_dir=...)``.
+it with ``SpecializeOptions(cache_dir=...)``.
 """
 
 from repro.pipeline.artifacts import (
@@ -55,10 +52,6 @@ from repro.pipeline.serialize import (
     SerializationError,
     function_from_dict,
     function_to_dict,
-    module_from_dict,
-    module_to_dict,
-    request_from_dict,
-    request_to_dict,
 )
 from repro.pipeline.tiering import (
     DEFAULT_THRESHOLD,
@@ -89,11 +82,7 @@ __all__ = [
     "function_from_dict",
     "function_to_dict",
     "locked_write_json",
-    "module_from_dict",
-    "module_to_dict",
     "open_profile_store",
     "profile_key",
-    "request_from_dict",
-    "request_to_dict",
     "residual_fingerprint",
 ]

@@ -1,39 +1,29 @@
 """The tiered compilation engine: one subsystem for every AOT flow.
 
 Before this layer existed, each guest runtime hand-wired its own
-specialize → optimize → emit sequence, compilation was strictly serial,
-and both the in-memory :class:`~repro.core.cache.SpecializationCache`
-and the compiled Python artifacts evaporated at process exit.  The
-:class:`CompilationEngine` owns the whole tier-up path instead:
+specialize → optimize → emit sequence, and both the in-memory
+:class:`~repro.core.cache.SpecializationCache` and the compiled Python
+artifacts evaporated at process exit.  The :class:`CompilationEngine`
+owns the whole tier-up path instead:
 
 * it accepts **batches** of
-  :class:`~repro.core.request.SpecializationRequest`\\s and runs the
-  pure stages — specialize (which includes the verifying mid-end) and
-  backend emission — on a ``concurrent.futures`` thread pool
-  (``jobs=``), while everything order-sensitive (cache accounting,
-  artifact writes, ``compile()``/``exec`` of emitted source, and the
-  caller's module mutation / table registration / heap patching) stays
-  single-threaded and is applied **in request order**, so results are
-  bit-identical at any worker count;
+  :class:`~repro.core.request.SpecializationRequest`\\s and runs them
+  serially in fixed stages — probe and dedup, specialize (which includes
+  the verifying mid-end) every miss, emit backend code for every
+  residual, then cache accounting, artifact writes and ``exec`` of
+  emitted source — each stage **in request order**, so fault-seam
+  consults, store contents and counters are reproducible; the caller's
+  module mutation / table registration / heap patching follows in the
+  same order;
 * it layers the in-memory cache over a **persistent on-disk artifact
-  store** (``cache_dir=``, :mod:`repro.pipeline.artifacts`): residual IR
-  and emitted backend source survive process exit, a warm restart
-  compiles zero functions, and fingerprint mismatches / version skew /
-  corruption silently fall back to a fresh compile;
+  store** (``cache_dir=``, :mod:`repro.pipeline.artifacts`): residual IR,
+  emitted backend source and its precompiled code object survive
+  process exit, a warm restart compiles zero functions, and fingerprint
+  mismatches / version skew / corruption silently fall back to a fresh
+  compile;
 * residuals loaded from disk are **verified** before use (the artifact
   file is outside the process's trust boundary; a verifier rejection is
   treated exactly like corruption).
-
-Worker-pool note: the default pool uses threads — under CPython's GIL
-the win is stage *overlap* (disk loads, JSON parse, and the
-allocator-heavy transform interleave).  ``SpecializeOptions(jobs=N,
-pool="process")`` moves the specialize stage to a
-``ProcessPoolExecutor`` instead: the module ships to each worker in its
-serialized compile-side form (host import callables cannot cross a
-process boundary, so imports travel signature-only) and residuals ship
-back through the same byte-identical JSON round trip the artifact store
-uses, so results are bit-identical to the thread pool at any worker
-count.  Either way the order-sensitive stage 3 stays in the parent.
 """
 
 from __future__ import annotations
@@ -41,8 +31,6 @@ from __future__ import annotations
 import dataclasses
 import marshal
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.cache import (
@@ -64,99 +52,11 @@ from repro.pipeline.artifacts import (
     ArtifactStore,
     residual_fingerprint,
 )
-from repro.pipeline.faults import FaultInjected, plan_from_options
-from repro.pipeline.serialize import (
-    SerializationError,
-    function_from_dict,
-    function_to_dict,
-    module_from_dict,
-    module_to_dict,
-    request_from_dict,
-    request_to_dict,
-)
+from repro.pipeline.faults import plan_from_options
 
 
-# ---------------------------------------------------------------------------
-# Process-pool workers (``SpecializeOptions(pool="process")``).
-#
-# The specialize stage is pure, so it can leave the process: the module
-# travels once per worker as its serialized compile-side form (functions,
-# import *signatures*, table, globals — host callables never cross), the
-# heap snapshot travels with it, and each task is one JSON-encoded
-# request plus its precomputed cache key.  Workers return the residual
-# in serialized form; the byte-identical Function round trip is what
-# makes ``pool="process"`` indistinguishable from ``pool="thread"``
-# (the determinism tier asserts artifact-level byte equality).  All
-# *writes* — artifact store, in-memory cache, module mutation — stay in
-# the parent's serial stage 3, so ordering is untouched.
-# ---------------------------------------------------------------------------
-
-_WORKER_STATE: dict = {}
-
-
-def _process_worker_init(module_payload: dict, options, snapshot: bytes,
-                         store_root: Optional[str]) -> None:
-    """Per-worker setup: rebuild the compile-side module and open the
-    (read-only-use) artifact store once, not per task."""
-    store = None
-    if store_root:
-        try:
-            store = ArtifactStore(store_root,
-                                  fault_plan=plan_from_options(options))
-        except OSError:
-            store = None
-    _WORKER_STATE["module"] = module_from_dict(module_payload)
-    _WORKER_STATE["options"] = options
-    _WORKER_STATE["snapshot"] = snapshot
-    _WORKER_STATE["store"] = store
-
-
-def _process_specialize(item: tuple):
-    """One stage-1 task in a worker: artifact load / fresh specialize.
-
-    Mirrors ``CompilationEngine._make_specialize_task`` exactly; the
-    residual ships back serialized with its specialization stats.  A
-    residual the encoding cannot express returns the ``"raw"`` marker
-    and the parent recomputes that one plan locally; a task that raises
-    (including injected ``specialize``/``verify`` faults) returns the
-    ``"error"`` marker with the message — a worker never lets an
-    exception escape, because one poisoned task must fail one request,
-    not the whole pool.
-    """
-    request_data, key, name = item
-    module = _WORKER_STATE["module"]
-    options = _WORKER_STATE["options"]
-    snapshot = _WORKER_STATE["snapshot"]
-    store = _WORKER_STATE["store"]
-    fault = plan_from_options(options)
-    begin = time.perf_counter()
-    artifact_status = MISS
-    func: Optional[Function] = None
-    try:
-        if store is not None:
-            func, artifact_status = store.load_residual(
-                key, name, key[0], key[2])
-            if func is not None:
-                try:
-                    verify_function(func, module)
-                except VerificationError:
-                    func, artifact_status = None, INVALID
-        if func is None:
-            request = request_from_dict(request_data)
-            if fault is not None:
-                fault.check("specialize")
-            func = specialize(module, request, options, snapshot)
-            if fault is not None:
-                fault.check("verify")
-    except Exception as exc:
-        return ("error", f"{type(exc).__name__}: {exc}", artifact_status,
-                time.perf_counter() - begin)
-    stats = getattr(func, "_weval_stats", None)
-    try:
-        payload = function_to_dict(func)
-    except SerializationError:
-        return "raw", None, artifact_status, time.perf_counter() - begin
-    return payload, stats, artifact_status, time.perf_counter() - begin
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 @dataclasses.dataclass
@@ -174,11 +74,11 @@ class EngineResult:
     (it stays on the IR VM).
 
     ``error`` is the fault-containment surface: an exception anywhere in
-    this request's pipeline (specialize, verify, emit, a crashed pool
-    worker) fails *this result only* — ``function`` is ``None``, nothing
-    was cached or stored for it, and the rest of the batch is
-    unaffected.  Callers must treat an errored result as "stay on the
-    current tier"; the tiering controller turns it into quarantine.
+    this request's pipeline (specialize, verify, emit) fails *this
+    result only* — ``function`` is ``None``, nothing was cached or
+    stored for it, and the rest of the batch is unaffected.  Callers
+    must treat an errored result as "stay on the current tier"; the
+    tiering controller turns it into quarantine.
     """
 
     request: SpecializationRequest
@@ -190,17 +90,6 @@ class EngineResult:
     pyfunc: Optional[Callable] = None
     fallback_reason: Optional[str] = None
     error: Optional[str] = None
-
-
-class _TaskFailure:
-    """Marker a pure-stage task returns in place of its result when it
-    raised: the exception is contained at the task boundary so pool
-    workers stay healthy and sibling requests complete normally."""
-
-    __slots__ = ("message",)
-
-    def __init__(self, message: str):
-        self.message = message
 
 
 class _Plan:
@@ -230,18 +119,15 @@ class _Plan:
 
 class CompilationEngine:
     """Batch compiler for specialization requests (specialize → opt →
-    verify → emit) with parallel pure stages and tiered caching."""
+    verify → emit) with tiered caching."""
 
     def __init__(self, module: Module,
                  options: Optional[SpecializeOptions] = None,
                  cache: Optional[SpecializationCache] = None,
-                 jobs: Optional[int] = None,
                  cache_dir: Optional[str] = None):
         self.module = module
         self.options = options or SpecializeOptions()
         self.cache = cache
-        self.jobs = max(1, jobs if jobs is not None else self.options.jobs)
-        self.pool = self.options.pool
         self.fault_plan = plan_from_options(self.options)
         root = cache_dir if cache_dir is not None else self.options.cache_dir
         self.store: Optional[ArtifactStore] = None
@@ -255,25 +141,6 @@ class CompilationEngine:
                 self.store = None
         self.stats = EngineStats()
         self._fingerprints: Dict[int, str] = {}
-
-    # ------------------------------------------------------------------
-    # Worker pool.
-    # ------------------------------------------------------------------
-    def _run_all(self, thunks: List[Callable[[], object]]) -> List[object]:
-        """Run pure thunks, in a pool when configured; results come back
-        in submission order regardless of completion order."""
-        if self.jobs == 1 or len(thunks) <= 1:
-            return [thunk() for thunk in thunks]
-        pool = ThreadPoolExecutor(max_workers=min(self.jobs, len(thunks)))
-        try:
-            futures = [pool.submit(thunk) for thunk in thunks]
-            return [future.result() for future in futures]
-        finally:
-            # Tear the executor down on *every* exit path, and cancel
-            # queued thunks when one result raised — without
-            # cancel_futures a failing batch used to block here until
-            # every already-queued sibling ran to completion.
-            pool.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # Batch compilation.
@@ -296,10 +163,9 @@ class CompilationEngine:
         stats.requests += len(requests)
         stats.inline_requests += sum(
             1 for r in requests if getattr(r, "inline_plan", ()))
-        stats.jobs = max(stats.jobs, self.jobs)
         want_py = self.options.backend == "py"
 
-        # Stage 0 (serial): keys, in-memory probes, in-batch dedup.
+        # Stage 0: keys, in-memory probes, in-batch dedup.
         plans: List[_Plan] = []
         first_of_key: Dict[tuple, int] = {}
         for request in requests:
@@ -309,7 +175,8 @@ class CompilationEngine:
             owner = first_of_key.get(plan.key)
             if owner is not None:
                 # Same key seen earlier in this batch: reuse its output
-                # (the serial flow would have hit the cache here).
+                # (compiled one request at a time, it would hit the
+                # producer's cache entry).
                 plan.dup_of = owner
             else:
                 if self.cache is not None:
@@ -319,25 +186,13 @@ class CompilationEngine:
                     first_of_key[plan.key] = len(plans)
             plans.append(plan)
 
-        # Stage 1 (parallel, pure): artifact load / fresh specialize for
-        # every first-occurrence miss.
-        misses = [plan for plan in plans
-                  if plan.func is None and plan.dup_of is None]
-        outcomes = self._specialize_misses(misses, snapshot)
-        for plan, (func, artifact_status, seconds) in zip(misses, outcomes):
-            if isinstance(func, _TaskFailure):
-                # Contained task crash: fail this request, leave every
-                # sibling (and the caches) untouched.
-                plan.error = func.message
-            else:
-                plan.func = func
-                plan.artifact_hit = artifact_status == HIT
-                plan.specialized = not plan.artifact_hit
-            if artifact_status == INVALID:
-                stats.artifact_invalid += 1
-            stats.specialize_seconds += seconds
+        # Stage 1: artifact load / fresh specialize for every
+        # first-occurrence miss.
+        for plan in plans:
+            if plan.func is None and plan.dup_of is None:
+                self._load_or_specialize(plan, snapshot)
 
-        # Resolve duplicates (serial): clone the producer's function.
+        # Resolve duplicates: clone the producer's function.
         for plan in plans:
             if plan.dup_of is not None:
                 producer = plans[plan.dup_of]
@@ -349,31 +204,31 @@ class CompilationEngine:
                 plan.func = clone_function(producer.func, plan.name)
                 plan.cache_hit = True
                 if self.cache is not None:
-                    # Accounting parity with the serial flow, where the
-                    # producer's insert happened before this probe.
+                    # Accounting parity with compiling one request at a
+                    # time, where the producer's insert precedes this
+                    # probe.
                     self.cache.hits += 1
 
-        # Stage 2 (parallel, pure): backend emission for every function.
+        # Stage 2: backend emission for every function.
         if want_py:
-            emit_plans = [plan for plan in plans if plan.error is None]
-            emitted = self._run_all(
-                [self._make_emit_task(plan) for plan in emit_plans])
-            for plan, (source, fallback, code, status, seconds) in zip(
-                    emit_plans, emitted):
-                if isinstance(source, _TaskFailure):
-                    plan.error = source.message
-                else:
-                    plan.py_source = source
-                    plan.py_fallback = fallback
-                    plan.py_code = code
+            for plan in plans:
+                if plan.error is not None:
+                    continue
+                begin = time.perf_counter()
+                status = MISS
+                try:
+                    (plan.py_source, plan.py_fallback, plan.py_code,
+                     status) = self._emit_one(plan.func)
                     plan.py_from_store = status == HIT
+                except Exception as exc:
+                    plan.error = _describe(exc)
                 if status == INVALID:
                     stats.artifact_invalid += 1
-                stats.emit_seconds += seconds
+                stats.emit_seconds += time.perf_counter() - begin
 
-        # Stage 3 (serial, request order): cache/artifact writes and
-        # ``exec`` of emitted source.  Errored plans write nothing — a
-        # crashed stage must not leave partial state in the caches.
+        # Stage 3: cache/artifact writes and ``exec`` of emitted source.
+        # Errored plans write nothing — a crashed stage must not leave
+        # partial state in the caches.
         results = []
         for plan in plans:
             if plan.error is not None:
@@ -412,136 +267,41 @@ class CompilationEngine:
         stats.wall_seconds += time.perf_counter() - start
         return results
 
-    def _specialize_misses(self, misses: List[_Plan], snapshot: bytes
-                           ) -> List[Tuple[Function, str, float]]:
-        """Run stage 1 on the configured pool flavor.
-
-        The process pool needs every payload to serialize; a module or
-        request the encoding cannot express falls back to the thread
-        path wholesale (correctness first — both paths produce
-        bit-identical residuals).
-        """
-        if self.pool == "process" and self.jobs > 1 and len(misses) > 1:
-            outcomes = self._process_pool_specialize(misses, snapshot)
-            if outcomes is not None:
-                return outcomes
-        return self._run_all(
-            [self._make_specialize_task(plan, snapshot) for plan in misses])
-
-    def _process_pool_specialize(self, misses: List[_Plan],
-                                 snapshot: bytes
-                                 ) -> Optional[List[Tuple[Function, str,
-                                                          float]]]:
-        """Stage 1 on a :class:`ProcessPoolExecutor`; ``None`` means
-        "use the thread path" (unserializable payloads, or a pool the
-        engine just degraded away from).
-
-        Pool-level failure containment: a broken pool (a worker
-        segfaulted or was OOM-killed — surfaced by ``concurrent.futures``
-        as :class:`BrokenProcessPool` at the batch boundary) is retried
-        once with a fresh pool, because one dead worker is usually
-        transient.  A second consecutive failure flips ``self.pool`` to
-        ``"thread"`` for the rest of the session: threads cannot crash
-        independently of the parent, so tier-up keeps working at
-        in-process speed instead of failing every batch.
-        """
+    def _load_or_specialize(self, plan: _Plan, snapshot: bytes) -> None:
+        """Stage 1 for one miss: load the residual from the artifact
+        store, or specialize it fresh.  An exception fails this request
+        only; the caches and sibling requests are untouched."""
+        fault = self.fault_plan
+        begin = time.perf_counter()
+        status = MISS
         try:
-            module_payload = module_to_dict(self.module)
-            items = [(request_to_dict(plan.request), plan.key, plan.name)
-                     for plan in misses]
-        except SerializationError:
-            return None
-        store_root = self.store.root if self.store is not None else None
-        fault = self.fault_plan
-        failures = 0
-        while True:
-            pool = None
-            try:
-                if fault is not None and fault.fires("pool_worker"):
-                    raise BrokenProcessPool(
-                        "injected fault at seam 'pool_worker'")
-                pool = ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(misses)),
-                    initializer=_process_worker_init,
-                    initargs=(module_payload, self.options, snapshot,
-                              store_root))
-                shipped = list(pool.map(_process_specialize, items))
-                break
-            except (BrokenProcessPool, OSError):
-                failures += 1
-                if failures == 1:
-                    self.stats.pool_rebuilds += 1
-                    continue
-                self.pool = "thread"
-                self.stats.pool_degradations += 1
-                return None
-            finally:
-                if pool is not None:
-                    pool.shutdown(wait=True, cancel_futures=True)
-        outcomes = []
-        for plan, (payload, spec_stats, status, seconds) in zip(misses,
-                                                                shipped):
-            if payload == "error":
-                outcomes.append((_TaskFailure(spec_stats), status, seconds))
-                continue
-            if payload == "raw":
-                # The worker specialized fine but could not serialize
-                # the residual back; recompute this one plan locally.
-                outcomes.append(
-                    self._make_specialize_task(plan, snapshot)())
-                continue
-            func = function_from_dict(payload, name=plan.name)
-            if spec_stats is not None:
-                func._weval_stats = spec_stats
-            outcomes.append((func, status, seconds))
-        return outcomes
-
-    def _make_specialize_task(self, plan: _Plan, snapshot: bytes):
-        fault = self.fault_plan
-
-        def task() -> Tuple[object, str, float]:
-            begin = time.perf_counter()
-            artifact_status = MISS
             func: Optional[Function] = None
-            try:
-                if self.store is not None:
-                    func, artifact_status = self.store.load_residual(
-                        plan.key, plan.name, plan.key[0], plan.key[2])
-                    if func is not None:
-                        try:
-                            # Disk artifacts sit outside the process's
-                            # trust boundary: verify before use, and
-                            # treat a rejection exactly like corruption.
-                            verify_function(func, self.module)
-                        except VerificationError:
-                            func, artifact_status = None, INVALID
-                if func is None:
-                    if fault is not None:
-                        fault.check("specialize")
-                    func = specialize(self.module, plan.request,
-                                      self.options, snapshot)
-                    if fault is not None:
-                        fault.check("verify")
-            except Exception as exc:
-                # Contain any stage crash at the task boundary: the
-                # marker fails this one request in stage 3; the pool and
-                # sibling tasks are unaffected.
-                return (_TaskFailure(f"{type(exc).__name__}: {exc}"),
-                        artifact_status, time.perf_counter() - begin)
-            return func, artifact_status, time.perf_counter() - begin
-        return task
-
-    def _make_emit_task(self, plan: _Plan):
-        def task():
-            begin = time.perf_counter()
-            try:
-                source, fallback, code, status = self._emit_one(plan.func)
-            except Exception as exc:
-                return (_TaskFailure(f"{type(exc).__name__}: {exc}"),
-                        None, None, MISS, time.perf_counter() - begin)
-            return (source, fallback, code, status,
-                    time.perf_counter() - begin)
-        return task
+            if self.store is not None:
+                func, status = self.store.load_residual(
+                    plan.key, plan.name, plan.key[0], plan.key[2])
+                if func is not None:
+                    try:
+                        # Disk artifacts sit outside the process's trust
+                        # boundary: verify before use, and treat a
+                        # rejection exactly like corruption.
+                        verify_function(func, self.module)
+                    except VerificationError:
+                        func, status = None, INVALID
+            if func is None:
+                if fault is not None:
+                    fault.check("specialize")
+                func = specialize(self.module, plan.request, self.options,
+                                  snapshot)
+                if fault is not None:
+                    fault.check("verify")
+            plan.func = func
+            plan.artifact_hit = status == HIT
+            plan.specialized = not plan.artifact_hit
+        except Exception as exc:
+            plan.error = _describe(exc)
+        if status == INVALID:
+            self.stats.artifact_invalid += 1
+        self.stats.specialize_seconds += time.perf_counter() - begin
 
     def _emit_one(self, func: Function
                   ) -> Tuple[Optional[str], Optional[str], Optional[object],
@@ -550,23 +310,19 @@ class CompilationEngine:
 
         Returns ``(source, fallback_reason, code, store_status)``.
 
-        ``code`` is the tier-3½ rung (``options.codegen == "code"``): the
-        ``compile()``d code object for ``source``, either unmarshaled
-        from the artifact store (warm start skips parse+compile
-        entirely) or compiled here — i.e. inside the *parallel* emit
-        stage — so the serial ``exec`` in :meth:`_finalize` only has to
-        bind globals.  ``None`` means "compile from source as before";
-        any marshal/interpreter skew in the store degrades to that
-        silently.
+        ``code`` is the tier-3½ rung: the ``compile()``d code object for
+        ``source``, either unmarshaled from the artifact store (warm
+        start skips parse+compile entirely) or compiled here, so the
+        ``exec`` in :meth:`_finalize` only has to bind globals.  ``None``
+        means "compile from source"; any marshal/interpreter skew in the
+        store degrades to that silently.
         """
         from repro.backend import UnsupportedConstruct, emit_function_source
         mode = self.options.emit_mode
-        want_code = self.options.codegen == "code"
         fp = None
         if self.store is not None:
             fp = residual_fingerprint(print_function(func, order="id"))
-            cached, status = self.store.load_py_source(
-                fp, mode, want_code=want_code)
+            cached, status = self.store.load_py_source(fp, mode)
             if cached is not None:
                 return cached[0], cached[1], cached[2], status
         if self.fault_plan is not None:
@@ -578,7 +334,7 @@ class CompilationEngine:
         except UnsupportedConstruct as exc:
             source, fallback = None, str(exc)
         code = code_bytes = None
-        if want_code and source is not None:
+        if source is not None:
             code, code_bytes = self._precompile(func.name, source)
         if self.store is not None:
             self.store.store_py_source(fp, source, fallback, mode,
@@ -588,12 +344,12 @@ class CompilationEngine:
     @staticmethod
     def _precompile(name: str, source: str) -> Tuple[Optional[object],
                                                      Optional[bytes]]:
-        """``compile()`` emitted source ahead of the serial stage.
+        """``compile()`` emitted source ahead of its ``exec``.
 
         The filename matches ``compile_python_source`` exactly so
         tracebacks are identical on both paths.  A source that does not
-        compile returns ``(None, None)`` — the serial stage recompiles
-        and converts the failure into a backend fallback as before.
+        compile returns ``(None, None)`` — :meth:`_finalize` recompiles
+        and converts the failure into a backend fallback.
         """
         try:
             code = compile(source, f"<pybackend:{name}>", "exec")
@@ -603,7 +359,7 @@ class CompilationEngine:
 
     def _finalize(self, plan: _Plan) -> EngineResult:
         """Turn a finished plan into a result; ``exec`` emitted source
-        (serial — callable identity is created in request order)."""
+        (callable identity is created in request order)."""
         from repro.backend import UnsupportedConstruct, compile_python_source
         stats = self.stats
         pyfunc = None
@@ -619,7 +375,7 @@ class CompilationEngine:
                 # emitter bug for this function: record a fallback (tier
                 # 1 keeps serving it) instead of failing the request.
                 plan.py_source = None
-                plan.py_fallback = f"{type(exc).__name__}: {exc}"
+                plan.py_fallback = _describe(exc)
         if plan.py_source is not None or plan.py_fallback is not None:
             if plan.py_from_store:
                 stats.backend_source_hits += 1
@@ -652,13 +408,12 @@ class CompilationEngine:
         """Emit + compile module functions to Python callables.
 
         Returns ``(compiled, fallbacks)`` like
-        :func:`repro.backend.compile_functions`, but with parallel
-        emission and artifact-store reuse.
+        :func:`repro.backend.compile_functions`, but with artifact-store
+        reuse.
         """
         from repro.backend import UnsupportedConstruct, compile_python_source
         start = time.perf_counter()
         stats = self.stats
-        stats.jobs = max(stats.jobs, self.jobs)
         compiled: Dict[str, Callable] = {}
         fallbacks: List[Tuple[str, str]] = []
         todo: List[str] = []
@@ -667,12 +422,12 @@ class CompilationEngine:
                 fallbacks.append((name, "not an IR function"))
             else:
                 todo.append(name)
-        outcomes = self._run_all([
-            self._make_named_emit_task(name) for name in todo])
-        for name, (source, fallback, code, status,
-                   seconds) in zip(todo, outcomes):
-            stats.emit_seconds += seconds
-            if isinstance(source, _TaskFailure):
+        for name in todo:
+            begin = time.perf_counter()
+            try:
+                source, fallback, code, status = self._emit_one(
+                    self.module.functions[name])
+            except Exception:
                 # Contained emit crash.  Deliberately *neither* compiled
                 # nor a fallback: a fallback is the permanent
                 # "emitter cannot express this" verdict, while a crash
@@ -680,6 +435,8 @@ class CompilationEngine:
                 # tiering controller to quarantine and retry.
                 stats.requests_failed += 1
                 continue
+            finally:
+                stats.emit_seconds += time.perf_counter() - begin
             if source is not None:
                 try:
                     compiled[name] = compile_python_source(name, source,
@@ -687,7 +444,7 @@ class CompilationEngine:
                 except UnsupportedConstruct as exc:
                     source, fallback = None, str(exc)
                 except Exception as exc:
-                    source, fallback = None, f"{type(exc).__name__}: {exc}"
+                    source, fallback = None, _describe(exc)
             if source is None:
                 fallbacks.append((name, fallback))
             if status == HIT:
@@ -701,16 +458,3 @@ class CompilationEngine:
         stats.backend_fallbacks += len(fallbacks)
         stats.wall_seconds += time.perf_counter() - start
         return compiled, fallbacks
-
-    def _make_named_emit_task(self, name: str):
-        def task():
-            begin = time.perf_counter()
-            try:
-                source, fallback, code, status = self._emit_one(
-                    self.module.functions[name])
-            except Exception as exc:
-                return (_TaskFailure(f"{type(exc).__name__}: {exc}"),
-                        None, None, MISS, time.perf_counter() - begin)
-            return (source, fallback, code, status,
-                    time.perf_counter() - begin)
-        return task

@@ -5,17 +5,16 @@ correct fallback, so compilation is *advisory* — is only as strong as
 its failure paths.  The artifact and profile stores were already
 paranoid about **read** corruption (anything torn, skewed, or mangled
 silently recompiles / reads as no heat), but nothing systematically
-exercised a compile-stage crash, a broken worker pool, or a store
-*write* failure while a live guest request was on the stack.  This
-module is the adversary that proves those paths: a :class:`FaultPlan`
-injects failures at named seams of the pipeline, deterministically,
-from a seed.
+exercised a compile-stage crash or a store *write* failure while a live
+guest request was on the stack.  This module is the adversary that
+proves those paths: a :class:`FaultPlan` injects failures at named
+seams of the pipeline, deterministically, from a seed.
 
 Seams (:data:`SEAMS`):
 
 ``specialize``
-    Raises :class:`FaultInjected` inside the engine's stage-1 task,
-    just before the weval transform runs — a compiler crash at a call
+    Raises :class:`FaultInjected` inside the engine's stage 1, just
+    before the weval transform runs — a compiler crash at a call
     boundary.
 ``verify``
     Raises after specialization, where the residual-verification stage
@@ -32,11 +31,6 @@ Seams (:data:`SEAMS`):
     The artifact store treats the write as failed (full disk, revoked
     permissions); repeated failures flip the store into memory-only
     degraded mode (:mod:`repro.pipeline.artifacts`).
-``pool_worker``
-    The engine's process pool raises
-    :class:`concurrent.futures.process.BrokenProcessPool` at the batch
-    boundary — the engine rebuilds the pool once, then degrades to
-    threads for the session.
 ``heat_merge``
     The profile store's merge write fails; the publish high-water marks
     must retain the delta for the next attempt.
@@ -44,22 +38,15 @@ Seams (:data:`SEAMS`):
 **Determinism.**  Each seam keeps its own consult counter and its own
 ``random.Random`` seeded from ``(seed, seam)``; the Nth consult of a
 seam fires (or not) identically across runs for the same plan
-configuration and per-seam consult order.  The chaos tier therefore
-runs single-job engines (``jobs=1``) so consult order is the program
-order; with a worker pool the per-seam *rate* still holds but the
-exact firing pattern may interleave differently.
+configuration and per-seam consult order.  The engine is serial and
+consults seams in request order, so consult order is the program
+order.
 
 A plan is consulted only where one is installed
 (``SpecializeOptions(fault_plan=...)``); with no plan the containment
 hooks are a single ``is not None`` test — the no-plan execution stays
 byte-identical to a build without this module (``bench_faults.py``
 guards the wall-clock side of that claim).
-
-Plans are picklable (the process-pool engine ships options to its
-workers); the internal lock is dropped and recreated across the
-boundary, so each worker advances an independent copy of the per-seam
-state — per-process determinism, which is what the cross-process tests
-rely on.
 """
 
 from __future__ import annotations
@@ -69,7 +56,7 @@ import threading
 from typing import Dict, Iterable, Optional
 
 SEAMS = ("specialize", "verify", "emit", "store_read", "store_write",
-         "pool_worker", "heat_merge")
+         "heat_merge")
 
 
 class FaultInjected(Exception):
@@ -123,7 +110,7 @@ class FaultPlan:
     @classmethod
     def always(cls, *seams: str) -> "FaultPlan":
         """A plan that fires on every consult of the given seams (the
-        persistent-outage schedules: full disk, dead pool)."""
+        persistent-outage schedules: full disk, dead compiler)."""
         return cls(rates={seam: 1.0 for seam in seams})
 
     # ------------------------------------------------------------------
@@ -170,18 +157,6 @@ class FaultPlan:
     def disarm(self) -> None:
         """Stop injecting (counters keep advancing deterministically)."""
         self.armed = False
-
-    # ------------------------------------------------------------------
-    # Pickling (the process-pool engine ships options to workers).
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         spec = {seam: rate for seam, rate in self.rates.items()}

@@ -19,8 +19,8 @@ guest-level dispatch slot is still empty and the call is about to fall
 back to the generic interpreter.  When a function's profile crosses the
 hot threshold the controller compiles it right there — through the
 owning :class:`~repro.core.snapshot.SnapshotCompiler` and therefore the
-:class:`~repro.pipeline.engine.CompilationEngine` with its batching,
-worker pool, and persistent artifact store — installs it in the module
+:class:`~repro.pipeline.engine.CompilationEngine` with its batching
+and persistent artifact store — installs it in the module
 table, patches the guest dispatch slot in the *live* heap, and redirects
 the triggering call itself.  Because the redirect replaces the exact
 call that would have gone generic, a threshold of 1 reproduces the
@@ -237,7 +237,6 @@ class TieringController:
     def __init__(self, module: Module,
                  options: Optional[SpecializeOptions] = None,
                  cache=None,
-                 jobs: Optional[int] = None,
                  cache_dir: Optional[str] = None,
                  threshold: float = DEFAULT_THRESHOLD,
                  speculate: bool = False,
@@ -279,7 +278,7 @@ class TieringController:
         compiler_options = (dataclasses.replace(self.options, backend="vm")
                             if staged else self.options)
         self.compiler = SnapshotCompiler(module, compiler_options, cache,
-                                         jobs=jobs, cache_dir=cache_dir)
+                                         cache_dir=cache_dir)
         self.vm: Optional[VM] = None
         self.stats = TieringStats()
         self.entries: List[TierEntry] = []
@@ -371,7 +370,7 @@ class TieringController:
     def promote_all(self, entries: Optional[List[TierEntry]] = None
                     ) -> List[str]:
         """Compile and install every registered function now (one engine
-        batch — parallel across ``jobs`` workers, artifact-cached).
+        batch, artifact-cached).
 
         ``entries`` restricts the batch to a subset (the heat-adoption
         path promotes only the fleet's hot set); the default promotes
@@ -989,12 +988,9 @@ class TieringController:
                 f"blacklists={stats.blacklists} "
                 f"storm_pins={stats.storm_pins}")
         estats = self.compiler.engine.stats
-        if estats.requests_failed or estats.pool_rebuilds or \
-                estats.pool_degradations or estats.store_degraded:
+        if estats.requests_failed or estats.store_degraded:
             lines.append(
                 f"engine: failed={estats.requests_failed} "
-                f"pool_rebuilds={estats.pool_rebuilds} "
-                f"pool_degradations={estats.pool_degradations} "
                 f"store_degraded={bool(estats.store_degraded)} "
                 f"store_write_failures={estats.store_write_failures}")
         return "\n".join(lines)

@@ -1,5 +1,5 @@
 """Tests for the compilation pipeline: the CompilationEngine, the
-on-disk artifact store, and parallel-batch determinism.
+on-disk artifact store, and per-request fault containment.
 
 The contracts under test (ISSUE/ROADMAP "production story" layer):
 
@@ -11,9 +11,10 @@ The contracts under test (ISSUE/ROADMAP "production story" layer):
 * **Corruption safety** — truncated/garbage artifacts, version skew,
   and fingerprint mismatches are silently treated as misses (fresh
   recompile), never crashes.
-* **Parallel determinism** — ``jobs=1`` and ``jobs=4`` produce
-  byte-identical residual IR, byte-identical emitted backend source,
-  and the same table/heap patching.
+* **Code-object cache** — a warm restart loads precompiled code objects
+  beside the emitted source; entries written by another interpreter
+  (different bytecode magic) fall back to the source with identical
+  results.
 """
 
 import dataclasses
@@ -41,10 +42,6 @@ from repro.pipeline import (
     function_from_dict,
     function_to_dict,
     locked_write_json,
-    module_from_dict,
-    module_to_dict,
-    request_from_dict,
-    request_to_dict,
 )
 
 INTERP = """
@@ -191,95 +188,6 @@ class TestSerialization:
             function_from_dict(payload)
 
 
-class TestRequestSerialization:
-    def _request(self):
-        from repro.core import SpeculatedConst
-        return SpecializationRequest(
-            "interp",
-            [SpecializedMemory(BASE_A, len(CODE_A) * 8),
-             SpecializedConst(len(CODE_A)), Runtime(), SpeculatedConst(9)],
-            specialized_name="spec_rt",
-            extra_const_memory=[(0x40, 16)])
-
-    def test_round_trip_preserves_identity(self):
-        request = self._request()
-        clone = request_from_dict(
-            json.loads(json.dumps(request_to_dict(request))))
-        assert clone == request
-        assert clone.cache_key() == request.cache_key()
-        assert clone.name() == request.name()
-
-    def test_default_name_round_trips(self):
-        request = dataclasses.replace(self._request(),
-                                      specialized_name=None)
-        clone = request_from_dict(request_to_dict(request))
-        assert clone.specialized_name is None
-        assert clone.name() == request.name()
-
-    @pytest.mark.parametrize("mutilate", [
-        lambda d: d.pop("args"),
-        lambda d: d["args"][0].update(t="mystery"),
-        lambda d: d["args"][1].update(value="NaN-ish"),
-        lambda d: d.update(extra_const_memory=[["x"]]),
-    ])
-    def test_malformed_request_raises(self, mutilate):
-        payload = request_to_dict(self._request())
-        mutilate(payload)
-        with pytest.raises(SerializationError):
-            request_from_dict(payload)
-
-
-class TestModuleSerialization:
-    def _module(self):
-        from repro.core import register_weval_imports
-        module = build_module()
-        register_weval_imports(module)
-        module.add_global("g0", 7)
-        module.add_table_entry("interp")
-        return module
-
-    def test_round_trip_preserves_compile_surface(self):
-        module = self._module()
-        clone = module_from_dict(
-            json.loads(json.dumps(module_to_dict(module))))
-        assert set(clone.functions) == set(module.functions)
-        for name, func in module.functions.items():
-            assert print_function(clone.functions[name], order="id") == \
-                print_function(func, order="id")
-        assert list(clone.imports) == list(module.imports)
-        for name, host in module.imports.items():
-            assert clone.imports[name].sig == host.sig
-        assert clone.table == module.table
-        assert clone.globals == module.globals
-        assert clone.memory_size == module.memory_size
-
-    def test_duplicate_function_name_rejected(self):
-        payload = module_to_dict(self._module())
-        payload["functions"].append(payload["functions"][0])
-        with pytest.raises(SerializationError, match="duplicate"):
-            module_from_dict(payload)
-
-    def test_duplicate_import_name_rejected(self):
-        payload = module_to_dict(self._module())
-        payload["imports"].append(payload["imports"][0])
-        with pytest.raises(SerializationError, match="duplicate"):
-            module_from_dict(payload)
-
-    def test_unknown_table_entry_rejected(self):
-        payload = module_to_dict(self._module())
-        payload["table"].append("no_such_function")
-        with pytest.raises(SerializationError):
-            module_from_dict(payload)
-
-    def test_deserialized_imports_refuse_to_run(self):
-        clone = module_from_dict(module_to_dict(self._module()))
-        from repro.vm import VM
-        vm = VM(clone)
-        host = next(iter(clone.imports.values()))
-        with pytest.raises(RuntimeError, match="not available"):
-            host.fn(vm)
-
-
 # ---------------------------------------------------------------------------
 # Warm start.
 # ---------------------------------------------------------------------------
@@ -343,6 +251,41 @@ class TestWarmStart:
                 cold.module.functions[p_cold.function_name],
                 order="id") == print_function(
                 warm.module.functions[p_warm.function_name], order="id")
+
+    def test_code_object_cache_and_magic_skew(self, tmp_path):
+        """A warm restart loads every emitted function as a precompiled
+        code object.  Entries whose bytecode magic belongs to another
+        interpreter fall back to their source: still a full warm start,
+        with identical prints and fuel."""
+        from repro.luavm import LuaRuntime
+        src = ("function sq(x) return x * x end\n"
+               "local s = 0\nlocal i = 30\n"
+               "while i > 0 do s = s + sq(i) i = i - 1 end\nprint(s)")
+        options = SpecializeOptions(backend="py", cache_dir=str(tmp_path))
+
+        def aot_run():
+            rt = LuaRuntime(src, options=options)
+            rt.aot_compile()
+            vm = rt.run_aot()
+            return rt.printed, vm.stats.fuel, rt.compiler.engine.stats
+
+        cold_printed, cold_fuel, _ = aot_run()
+        printed, fuel, warm = aot_run()
+        assert warm.functions_specialized == 0
+        assert warm.backend_code_hits == warm.backend_source_hits > 0
+        assert (printed, fuel) == (cold_printed, cold_fuel)
+
+        py_dir = tmp_path / "py"
+        for entry in os.listdir(py_dir):
+            data = json.loads((py_dir / entry).read_text())
+            if "py_magic" in data:
+                data["py_magic"] = "00000000"
+                (py_dir / entry).write_text(json.dumps(data))
+        printed, fuel, skewed = aot_run()
+        assert skewed.functions_specialized == 0
+        assert skewed.backend_code_hits == 0
+        assert skewed.backend_source_hits == warm.backend_source_hits
+        assert (printed, fuel) == (cold_printed, cold_fuel)
 
     def test_memory_change_invalidates(self, tmp_path):
         options = SpecializeOptions(cache_dir=str(tmp_path))
@@ -454,105 +397,6 @@ class TestArtifactRobustness:
 
 
 # ---------------------------------------------------------------------------
-# Parallel batch compilation.
-# ---------------------------------------------------------------------------
-class TestParallelDeterminism:
-    def test_jobs_1_vs_4_identical_outputs(self, tmp_path):
-        runs = {}
-        for jobs in (1, 4):
-            options = SpecializeOptions(backend="py", jobs=jobs)
-            module = build_module()
-            compiler = SnapshotCompiler(module, options)
-            compiler.instantiate()
-            for request, fnptr in zip(make_requests(), (FNPTR_A, FNPTR_B)):
-                compiler.enqueue(request, fnptr)
-            processed = compiler.process_requests()
-            compiler.freeze()
-            vm = compiler.resume()
-            results = [vm.call("dispatch", [fnptr, base, len(code), 9])
-                       for fnptr, base, code in
-                       ((FNPTR_A, BASE_A, CODE_A), (FNPTR_B, BASE_B, CODE_B))]
-            runs[jobs] = {
-                "names": [p.function_name for p in processed],
-                "tables": [p.table_index for p in processed],
-                "ir": [print_function(module.functions[p.function_name],
-                                      order="id") for p in processed],
-                "results": results,
-                "fuel": vm.stats.fuel,
-            }
-        assert runs[1] == runs[4]
-
-    def test_jobs_populate_identical_artifacts(self, tmp_path):
-        contents = {}
-        for jobs in (1, 4):
-            cache_dir = tmp_path / f"jobs{jobs}"
-            run_snapshot(SpecializeOptions(jobs=jobs, backend="py",
-                                           cache_dir=str(cache_dir)))
-            files = {}
-            for sub in ("spec", "py"):
-                subdir = cache_dir / sub
-                for entry in sorted(os.listdir(subdir)):
-                    files[f"{sub}/{entry}"] = (subdir / entry).read_bytes()
-            contents[jobs] = files
-        assert contents[1] == contents[4]
-
-    def test_process_pool_matches_thread_pool(self, tmp_path):
-        """``pool="process"`` must leave byte-identical artifacts and
-        produce identical outputs at any worker count (the fleet's
-        scale-out correctness contract)."""
-        contents = {}
-        outputs_by_config = {}
-        for pool, jobs in (("thread", 1), ("process", 2), ("process", 4)):
-            cache_dir = tmp_path / f"{pool}-{jobs}"
-            _, outputs = run_snapshot(
-                SpecializeOptions(jobs=jobs, pool=pool, backend="py",
-                                  cache_dir=str(cache_dir)))
-            check_outputs(outputs)
-            outputs_by_config[(pool, jobs)] = outputs
-            files = {}
-            for sub in ("spec", "py"):
-                subdir = cache_dir / sub
-                for entry in sorted(os.listdir(subdir)):
-                    files[f"{sub}/{entry}"] = (subdir / entry).read_bytes()
-            contents[(pool, jobs)] = files
-        assert contents[("thread", 1)] == contents[("process", 2)] \
-            == contents[("process", 4)]
-        assert outputs_by_config[("thread", 1)] \
-            == outputs_by_config[("process", 2)] \
-            == outputs_by_config[("process", 4)]
-
-    def test_process_pool_warm_starts_from_store(self, tmp_path):
-        """Process-pool workers read the shared store: a warm second run
-        specializes zero functions in any pool flavor."""
-        options = SpecializeOptions(jobs=2, pool="process", backend="py",
-                                    cache_dir=str(tmp_path))
-        cold, _ = run_snapshot(options)
-        assert cold.engine.stats.functions_specialized == 2
-        warm, outputs = run_snapshot(options)
-        check_outputs(outputs)
-        assert warm.engine.stats.functions_specialized == 0
-        assert warm.engine.stats.artifact_hits == 2
-
-    def test_bad_pool_option_rejected(self):
-        with pytest.raises(ValueError, match="bad pool"):
-            SpecializeOptions(pool="fibers")
-
-    def test_duplicate_requests_share_one_compile(self):
-        module = build_module()
-        cache = SpecializationCache()
-        engine = CompilationEngine(module, SpecializeOptions(),
-                                   cache=cache)
-        request = make_requests()[0]
-        twin = dataclasses.replace(request, specialized_name="spec_twin")
-        results = engine.compile_batch([request, twin])
-        assert engine.stats.functions_specialized == 1
-        assert results[1].cache_hit
-        assert results[0].function.name == "spec_a"
-        assert results[1].function.name == "spec_twin"
-        assert cache.hits == 1 and cache.misses == 1
-
-
-# ---------------------------------------------------------------------------
 # Engine surface details.
 # ---------------------------------------------------------------------------
 class TestEngineSurface:
@@ -608,11 +452,25 @@ class TestEngineSurface:
 
     def test_engine_results_in_request_order(self):
         module = build_module()
-        engine = CompilationEngine(module, SpecializeOptions(jobs=4))
+        engine = CompilationEngine(module, SpecializeOptions())
         requests = make_requests()
         results = engine.compile_batch(requests)
         assert [r.request.specialized_name for r in results] == \
             [r.specialized_name for r in requests]
+
+    def test_duplicate_requests_share_one_compile(self):
+        module = build_module()
+        cache = SpecializationCache()
+        engine = CompilationEngine(module, SpecializeOptions(),
+                                   cache=cache)
+        request = make_requests()[0]
+        twin = dataclasses.replace(request, specialized_name="spec_twin")
+        results = engine.compile_batch([request, twin])
+        assert engine.stats.functions_specialized == 1
+        assert results[1].cache_hit
+        assert results[0].function.name == "spec_a"
+        assert results[1].function.name == "spec_twin"
+        assert cache.hits == 1 and cache.misses == 1
 
     def test_compile_backend_functions_fallback_list(self):
         module = build_module()
@@ -853,8 +711,7 @@ class TestAtomicWriteFailurePaths:
 
 
 # ---------------------------------------------------------------------------
-# Fault containment (PR 9): per-request isolation, store degradation,
-# executor lifecycle.
+# Fault containment (PR 9): per-request isolation, store degradation.
 # ---------------------------------------------------------------------------
 class TestFaultContainment:
     def test_specialize_fault_fails_only_that_request(self):
@@ -959,28 +816,3 @@ class TestFaultContainment:
             make_requests())[0].specialized  # disk really is empty
         again = engine.compile_batch(make_requests())
         assert all(r.artifact_hit for r in again)
-
-    def test_run_all_survives_raising_thunk(self):
-        """A raising thunk propagates, queued thunks are cancelled, and
-        the engine (with a fresh executor per batch) stays usable."""
-        engine = CompilationEngine(build_module(),
-                                   SpecializeOptions(jobs=2))
-        def boom():
-            raise RuntimeError("task crash")
-        with pytest.raises(RuntimeError, match="task crash"):
-            engine._run_all([boom, lambda: 1, lambda: 2])
-        results = engine.compile_batch(make_requests())
-        assert [r.function.name for r in results] == ["spec_a", "spec_b"]
-
-    def test_process_worker_faults_are_contained(self, tmp_path):
-        """Injected faults inside process-pool workers come back as
-        per-request errors, not as a broken pool."""
-        from repro.pipeline.faults import FaultPlan
-        options = SpecializeOptions(
-            jobs=2, pool="process",
-            fault_plan=FaultPlan.always("specialize"))
-        engine = CompilationEngine(build_module(), options)
-        results = engine.compile_batch(make_requests())
-        assert all(r.error is not None for r in results)
-        assert engine.stats.pool_rebuilds == 0  # the pool never broke
-        assert engine.pool == "process"
