@@ -46,9 +46,9 @@ anything else fails fingerprint validation on load.  On platforms
 without ``fcntl`` the lock degrades to the (already atomic) plain
 write; the reread validation still applies.
 
-The store keeps no mutable counters (loads run on engine worker
-threads); every operation returns a status string and the engine
-aggregates them into :class:`~repro.core.stats.EngineStats` serially.
+The store keeps no load counters; every operation returns a status
+string and the engine aggregates them into
+:class:`~repro.core.stats.EngineStats`.
 """
 
 from __future__ import annotations

@@ -52,7 +52,6 @@ from repro.pipeline.artifacts import (
     ArtifactStore,
     residual_fingerprint,
 )
-from repro.pipeline.faults import plan_from_options
 
 
 def _describe(exc: Exception) -> str:
@@ -128,7 +127,7 @@ class CompilationEngine:
         self.module = module
         self.options = options or SpecializeOptions()
         self.cache = cache
-        self.fault_plan = plan_from_options(self.options)
+        self.fault_plan = self.options.fault_plan
         root = cache_dir if cache_dir is not None else self.options.cache_dir
         self.store: Optional[ArtifactStore] = None
         if root:

@@ -163,10 +163,3 @@ class FaultPlan:
         spec.update({seam: sorted(idx) for seam, idx in self.at.items()})
         return (f"FaultPlan(seed={self.seed}, {spec}, "
                 f"fired={self.total_fired()}, armed={self.armed})")
-
-
-def plan_from_options(options) -> Optional[FaultPlan]:
-    """The plan installed on a :class:`SpecializeOptions`, if any (the
-    attribute-style accessor keeps older pickled options loadable)."""
-    return getattr(options, "fault_plan", None) if options is not None \
-        else None
