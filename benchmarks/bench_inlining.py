@@ -84,7 +84,7 @@ print(0);
 # The staged PR 7 configuration both services share; ``inline`` is the
 # only delta under measurement.
 STAGED = dict(threshold=2, compile_threshold=3)
-INLINE = dict(inline=True, inline_min_site_calls=2)
+INLINE = dict(inline=True)
 
 
 class Service:

@@ -25,7 +25,7 @@ from repro.core.request import (
     SpecializationRequest,
     SpecializedMemory,
 )
-from repro.core.specialize import SpecializeOptions, specialize
+from repro.core.specialize import OPT_MAX_ROUNDS, SpecializeOptions, specialize
 from repro.ir.clone import clone_function
 from repro.ir.function import Function
 from repro.ir.module import Module
@@ -63,8 +63,10 @@ def options_key(options: Optional[SpecializeOptions]) -> Optional[tuple]:
     """
     if options is None:
         return None
+    # The round cap is a constant; it keeps its place in the tuple so
+    # keys written while it was an option still match.
     return (options.ssa_mode, options.optimize, options.opt_config,
-            options.opt_max_rounds, options.backend)
+            OPT_MAX_ROUNDS, options.backend)
 
 
 def request_key(module: Module, request: SpecializationRequest,

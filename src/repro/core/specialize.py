@@ -92,6 +92,18 @@ class SpecializeError(Exception):
     """Specialization failed (bad request, assert_const violation, ...)."""
 
 
+# Safety valves against runaway specialization and optimization.
+OPT_MAX_ROUNDS = 6                 # mid-end pipeline fixpoint round cap
+MAX_REVISITS = 64                  # per-key convergence safeguard
+MAX_VALUE_SPECIALIZATIONS = 4096   # widest specialized_value range
+MAX_ITERATIONS = 2_000_000         # worklist steps before giving up
+# Once this many distinct contexts exist, further new contexts are
+# collapsed into the shared dynamic context.  Contexts only steer code
+# duplication, never correctness, so this is a sound safety valve
+# against runaway specialization of dynamically-unreachable paths.
+MAX_CONTEXTS = 100_000
+
+
 def _default_backend() -> str:
     """Execution tier for residual code; overridable per environment."""
     return os.environ.get("REPRO_BACKEND", "vm")
@@ -104,8 +116,6 @@ class SpecializeOptions:
     ssa_mode: str = "minimal"          # "minimal" | "naive" (S3.4 ablation)
     optimize: bool = True              # run the post pipeline on the output
     opt_config: str = "default"        # named pipeline (see opt.PIPELINES)
-    opt_max_rounds: int = 6            # pipeline fixpoint round cap
-    verify_opt: bool = False           # run the IR verifier after each pass
     # Execution tier for the residual code: "vm" interprets the IR,
     # "py" compiles it to native Python functions (repro.backend) with
     # automatic per-function fallback to the VM.  Defaults to the
@@ -123,14 +133,6 @@ class SpecializeOptions:
     # (repro.pipeline; None disables persistence).  It does not affect
     # specialization *output*, so it is not part of any cache key.
     cache_dir: Optional[str] = None
-    max_revisits: int = 64             # per-key convergence safeguard
-    max_value_specializations: int = 4096
-    max_iterations: int = 2_000_000
-    # Once this many distinct contexts exist, further new contexts are
-    # collapsed into the shared dynamic context.  Contexts only steer code
-    # duplication, never correctness, so this is a sound safety valve
-    # against runaway specialization of dynamically-unreachable paths.
-    max_contexts: int = 100_000
     # Deterministic fault injection for the robustness tier
     # (repro.pipeline.faults.FaultPlan, or None for production).  The
     # plan only *fails* pipeline stages — it never changes what a
@@ -396,7 +398,7 @@ class _Specializer:
         self._seed()
         while self.queued:
             self._iterations += 1
-            if self._iterations > self.options.max_iterations:
+            if self._iterations > MAX_ITERATIONS:
                 raise SpecializeError(
                     f"{self.request.name()}: specialization did not "
                     f"converge after {self._iterations} iterations")
@@ -545,7 +547,7 @@ class _Specializer:
             info.param_slots = meet.param_slots
             return
         info.revisits += 1
-        if info.revisits > self.options.max_revisits and \
+        if info.revisits > MAX_REVISITS and \
                 not info.force_all_params and info.entry_state is not None:
             # Convergence damper: SSA-id churn in cyclic regions can make
             # entry states oscillate forever (predecessor rebuilds mint
@@ -556,7 +558,7 @@ class _Specializer:
             if new_pins - info.pinned_slots:
                 info.pinned_slots |= new_pins
                 meet = run_meet()
-            elif info.revisits > 4 * self.options.max_revisits:
+            elif info.revisits > 4 * MAX_REVISITS:
                 # Last resort: everything becomes a parameter.
                 info.force_all_params = True
                 meet = run_meet()
@@ -774,7 +776,7 @@ class _Specializer:
                                          "specialized_value low bound")
             hi = self._require_const_int(abs_args[2],
                                          "specialized_value high bound")
-            if hi < lo or hi - lo + 1 > self.options.max_value_specializations:
+            if hi < lo or hi - lo + 1 > MAX_VALUE_SPECIALIZATIONS:
                 raise SpecializeError(
                     f"{self.request.name()}: specialized_value range "
                     f"[{lo}, {hi}] invalid or too large")
@@ -882,7 +884,7 @@ class _Specializer:
     def _add_edge(self, info: _KeyInfo, position: int, ctx, gtarget: int,
                   overrides: Dict[int, AbsVal]) -> BlockCall:
         if ctx not in self._seen_contexts:
-            if len(self._seen_contexts) >= self.options.max_contexts:
+            if len(self._seen_contexts) >= MAX_CONTEXTS:
                 ctx = (("c", ctx_mod.DYNAMIC),)
             self._seen_contexts.add(ctx)
         succ_key: Key = (ctx, gtarget)
@@ -1081,10 +1083,9 @@ def specialize(module: Module, request: SpecializationRequest,
         func.name = request.name()
         if options.optimize:
             from repro.opt.pipeline import optimize_function
-            optimize_function(func, max_rounds=options.opt_max_rounds,
+            optimize_function(func, max_rounds=OPT_MAX_ROUNDS,
                               config=options.opt_config, module=module,
                               stats=spec_stats.opt,
-                              verify=options.verify_opt or None,
                               exhaustive=options.debug_exhaustive)
         canonicalize_function(func)
         if stats is not None:
@@ -1095,10 +1096,9 @@ def specialize(module: Module, request: SpecializationRequest,
     func = spec.run()
     if options.optimize:
         from repro.opt.pipeline import optimize_function
-        optimize_function(func, max_rounds=options.opt_max_rounds,
+        optimize_function(func, max_rounds=OPT_MAX_ROUNDS,
                           config=options.opt_config, module=module,
                           stats=spec.stats.opt,
-                          verify=options.verify_opt or None,
                           exhaustive=options.debug_exhaustive)
     if stats is not None:
         merge_stats(stats, spec.stats)

@@ -471,9 +471,7 @@ class JSRuntime:
                    backend: Optional[str] = None,
                    cache_dir: Optional[str] = None,
                    compile_threshold: int = 0,
-                   inline: bool = False,
-                   inline_min_site_calls: Optional[int] = None,
-                   inline_max_targets: Optional[int] = None) -> VM:
+                   inline: bool = False) -> VM:
         """Execute main under profile-guided dynamic tier-up.
 
         Execution starts immediately on the generic interpreter (no AOT
@@ -490,15 +488,10 @@ class JSRuntime:
         options = self.options
         if backend is not None:
             options = dataclasses.replace(options, backend=backend)
-        kwargs = {}
-        if inline_min_site_calls is not None:
-            kwargs["inline_min_site_calls"] = inline_min_site_calls
-        if inline_max_targets is not None:
-            kwargs["inline_max_targets"] = inline_max_targets
         controller = self._make_controller(
             options, threshold=threshold,
             speculate=speculate, cache_dir=cache_dir,
-            compile_threshold=compile_threshold, inline=inline, **kwargs)
+            compile_threshold=compile_threshold, inline=inline)
         vm = controller.attach(VM(self.module))
         self.controller = controller
         vm.stats.fuel += CODE_LOAD_FUEL_PER_WORD * sum(

@@ -58,11 +58,33 @@ once: the site id travels on the resuming guard's VM notification (or
 on :class:`~repro.vm.machine.GuardFailed` for unwinding guards), and
 the controller respecializes with that one site removed from the plan
 while every other speculation survives.
+
+**Tier state.**  Each function's tier is one :class:`TierState` in
+:attr:`FunctionProfile.state`, changed only by
+:meth:`TieringController._transition`, which performs every side effect
+of entering the state (dispatch slot, site-profiling set, speculation
+registry, tier-2 install, link invalidation, stats), so the tiers
+cannot drift apart:
+
+===========  ====  ===========  ==============================================
+state        tier  guest slot   entered by
+===========  ====  ===========  ==============================================
+COLD         0     0            registration; demotion by a guard failure
+STAGED       1     0            promotion in staged mode; tier 2 pending
+TIER1        1     table index  promotion on the vm backend; emitter fallback
+TIER2        2     table index  promotion or staged install with a callable
+BLACKLISTED  0     0            ``max_compile_failures`` contained failures
+PINNED       0     0            the deopt-storm breaker
+===========  ====  ===========  ==============================================
+
+BLACKLISTED and PINNED are final.  Quarantine is not a state: it is the
+``retry_at_score`` gate on compile attempts, in COLD and STAGED alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -84,33 +106,26 @@ from repro.vm.machine import VM
 # residual usually wins after a handful of calls.
 DEFAULT_THRESHOLD = 8
 
-# How many loop backedges count as one call toward the hot score: a
-# function that is entered rarely but spins long loops still promotes
-# (at its next call boundary).
-BACKEDGE_WEIGHT = 512
-
-# Inlining defaults: a site must have been observed this many times in
-# the tier-1 window, with at most this many distinct callees, and each
-# callee residual at most this many instructions.
-INLINE_MIN_SITE_CALLS = 4
-INLINE_MAX_TARGETS = 2
-INLINE_MAX_INSTRS = 400
-
-# Fault-containment policy (PR 9).  A contained compile failure
-# quarantines the function: promotion is retried with exponential
-# backoff measured in *threshold crossings* (the retry is earned by
-# fresh heat, not by wall clock — a function nobody calls never retries),
-# and after MAX_COMPILE_FAILURES contained failures the function is
-# blacklisted to tier 0 permanently.  Separately, the deopt-storm
-# breaker pins a function generic for good when STORM_DEOPTS guard
-# misses land within a window of STORM_WINDOW calls — with the
-# demote-exactly-once design a healthy function can deopt at most once
-# per speculation, so a storm means its guards are systematically wrong.
-MAX_COMPILE_FAILURES = 3
-STORM_DEOPTS = 8
-STORM_WINDOW = 64
-
 _UNSTABLE = object()
+
+
+class TierState(enum.Enum):
+    """Where one function executes (see the module docstring's table)."""
+
+    COLD = "cold"
+    STAGED = "staged"
+    TIER1 = "tier1"
+    TIER2 = "tier2"
+    BLACKLISTED = "blacklisted"
+    PINNED = "pinned"
+
+
+# Module-level aliases: the tier hook tests states on every tier-0 call,
+# and enum attribute access costs several times a global load.
+COLD, STAGED, TIER1, TIER2, BLACKLISTED, PINNED = TierState
+
+_TIER_OF = {COLD: 0, STAGED: 1, TIER1: 1, TIER2: 2,
+            BLACKLISTED: 0, PINNED: 0}
 
 
 class PromotionError(Exception):
@@ -159,14 +174,13 @@ class TierEntry:
 class FunctionProfile:
     """Per-function tiering state (tier 0 counters and beyond)."""
 
-    __slots__ = ("entry", "calls", "backedges", "tier", "installed_name",
+    __slots__ = ("entry", "calls", "backedges", "state", "installed_name",
                  "table_index", "deopts", "samples", "no_speculate",
-                 "calls_at_promotion", "tier2_attempted",
+                 "calls_at_promotion",
                  "published_calls", "published_backedges",
                  "site_callees", "no_inline_sites", "inline_plan",
                  "active_request", "compile_failures", "retry_at_score",
-                 "blacklisted", "pinned_generic", "deopt_marks",
-                 "last_error")
+                 "deopt_marks", "last_error")
 
     def __init__(self, entry: TierEntry):
         self.entry = entry
@@ -177,14 +191,11 @@ class FunctionProfile:
         # beyond these, so fleet heat accumulates without double counts.
         self.published_calls = 0
         self.published_backedges = 0
-        self.tier = 0
+        # Assigned only by TieringController._transition.
+        self.state = COLD
         self.installed_name: Optional[str] = None
         self.table_index = 0
         self.deopts = 0
-        # True once a staged backend emit was attempted — an emitter
-        # fallback keeps the function on tier 1 *permanently* (retrying
-        # would fail identically, on every hot call).
-        self.tier2_attempted = False
         # arg index -> first observed value, or _UNSTABLE once two calls
         # disagreed (speculation is then off for that argument).
         self.samples: Dict[int, object] = {}
@@ -200,17 +211,20 @@ class FunctionProfile:
         # The request actually used at promotion (speculation applied);
         # inline (re)specializations derive from it.
         self.active_request: Optional[SpecializationRequest] = None
-        # Fault containment: consecutive contained compile failures, the
-        # score this function must reach before promotion is retried
-        # (None = not quarantined), and the two permanent verdicts.
+        # Fault containment: consecutive contained compile failures and
+        # the score this function must reach before the next compile
+        # attempt (None = not quarantined).
         self.compile_failures = 0
         self.retry_at_score: Optional[float] = None
-        self.blacklisted = False
-        self.pinned_generic = False
         # Call-count marks of recent deopt/guard-miss events, for the
         # storm breaker's sliding window.
         self.deopt_marks: List[int] = []
         self.last_error: Optional[str] = None
+
+    @property
+    def tier(self) -> int:
+        """The tier ``state`` executes on (0, 1 or 2); read-only."""
+        return _TIER_OF[self.state]
 
     def score(self, backedge_weight: int) -> int:
         return self.calls + self.backedges // backedge_weight
@@ -234,38 +248,52 @@ class TieringController:
     backend compilation and patching the slot.
     """
 
+    # Policy constants.  Every caller uses these values; a test that
+    # needs another one overrides the attribute on its instance.
+    #
+    # How many loop backedges count as one call toward the hot score: a
+    # function that is entered rarely but spins long loops still promotes
+    # (at its next call boundary).
+    backedge_weight = 512
+    # Inlining: a site must have been observed this many times in the
+    # tier-1 window, with at most this many distinct callees, and each
+    # callee residual at most this many instructions.
+    inline_min_site_calls = 2
+    inline_max_targets = 2
+    inline_max_instrs = 400
+    # Fault containment (PR 9).  A contained compile failure quarantines
+    # the function: the next attempt waits for exponential backoff
+    # measured in *threshold crossings* (the retry is earned by fresh
+    # heat, not by wall clock — a function nobody calls never retries),
+    # and after ``max_compile_failures`` contained failures the function
+    # is blacklisted to tier 0 permanently.  Separately, the deopt-storm
+    # breaker pins a function generic for good when ``storm_deopts``
+    # guard misses land within a window of ``storm_window`` calls — with
+    # the demote-exactly-once design a healthy function can deopt at most
+    # once per speculation, so a storm means its guards are
+    # systematically wrong.
+    max_compile_failures = 3
+    storm_deopts = 8
+    storm_window = 64
+
     def __init__(self, module: Module,
                  options: Optional[SpecializeOptions] = None,
                  cache=None,
                  cache_dir: Optional[str] = None,
                  threshold: float = DEFAULT_THRESHOLD,
                  speculate: bool = False,
-                 backedge_weight: int = BACKEDGE_WEIGHT,
                  compile_threshold: int = 0,
-                 inline: bool = False,
-                 inline_max_targets: int = INLINE_MAX_TARGETS,
-                 inline_min_site_calls: int = INLINE_MIN_SITE_CALLS,
-                 inline_max_instrs: int = INLINE_MAX_INSTRS,
-                 max_compile_failures: int = MAX_COMPILE_FAILURES,
-                 storm_deopts: int = STORM_DEOPTS,
-                 storm_window: int = STORM_WINDOW):
+                 inline: bool = False):
         self.module = module
         self.options = options or SpecializeOptions()
         self.threshold = (DEFAULT_THRESHOLD if threshold is None
                           else threshold)
         self.speculate = speculate
-        self.backedge_weight = max(1, backedge_weight)
         self.compile_threshold = compile_threshold
-        self.max_compile_failures = max(1, max_compile_failures)
-        self.storm_deopts = storm_deopts
-        self.storm_window = max(1, storm_window)
         self.want_py = self.options.backend == "py"
         staged = self.want_py and compile_threshold > 0
         self._staged_tier2 = staged
         self.inline = inline
-        self.inline_max_targets = max(1, inline_max_targets)
-        self.inline_min_site_calls = max(1, inline_min_site_calls)
-        self.inline_max_instrs = inline_max_instrs
         if inline and not staged:
             # Site histograms only exist while a promoted residual runs
             # on the VM with its dispatch slot unpatched — that *is* the
@@ -288,27 +316,60 @@ class TieringController:
         self._last_profile: Optional[FunctionProfile] = None
         self._backedges_seen = 0
         # Installed residual name -> owning profile (all installs, old
-        # names kept for in-flight frames); and the subset of names
-        # currently in their site-profiling window.
+        # names kept for in-flight frames); and the names currently in
+        # their site-profiling window (the STAGED installs).
         self._site_owner: Dict[str, FunctionProfile] = {}
-        self._site_profiled: set = set()
+        self._site_profiled: frozenset = frozenset()
 
     # ------------------------------------------------------------------
     # Setup.
     # ------------------------------------------------------------------
     def _bump_links(self) -> None:
         """Reset the VM's call link slots (PR 10) after a
-        dispatch-changing event the VM cannot observe itself.
-
-        ``VM.install_compiled`` invalidates on its own, which covers
-        every install path (promotion, staged tier-2, per-site repair,
-        heat adoption); this hook handles the rest — (un)registration
-        changing ``tier_generics``, blacklist/storm verdicts, fallback
-        registration, and demotions — so a raw-linked call can never
-        outlive the conditions its link probe checked.
-        """
+        dispatch-changing event the VM cannot observe itself:
+        (un)registration changing ``tier_generics``, attachment, and
+        every tier transition (a raw-linked call must never outlive the
+        conditions its link probe checked)."""
         if self.vm is not None:
             self.vm.links.invalidate()
+
+    def _transition(self, profile: FunctionProfile, to: TierState) -> None:
+        """Enter state ``to``: the only place ``profile.state`` changes.
+
+        Performs every side effect of being in ``to``, so the dispatch
+        slot, the site-profiling set, the speculation registry, the
+        installed callables and the link table always agree with the
+        state.  Re-entering the current state re-establishes them after
+        a failed attempt (the snapshot compiler patches the slot as it
+        installs a residual).
+        """
+        profile.state = to
+        name = profile.installed_name
+        vm = self.vm
+        if to is TIER2:
+            pyfunc = self.compiler.backend_functions[name]
+            # promote_all installs its whole batch in one call first.
+            if vm is not None and vm.compiled.get(name) is not pyfunc:
+                vm.install_compiled({name: pyfunc})
+            self.stats.tier2_installs += 1
+        elif to is BLACKLISTED:
+            self.stats.blacklists += 1
+        elif to is PINNED:
+            self.stats.storm_pins += 1
+        if to is COLD or to is BLACKLISTED or to is PINNED:
+            # No new call may reach a retired speculative residual, so a
+            # later guard failure is an in-flight frame, not a demotion.
+            self._speculative.pop(name, None)
+        if vm is None:
+            return
+        vm.store_u64(profile.entry.result_addr,
+                     profile.table_index if to is TIER1 or to is TIER2
+                     else 0)
+        if self.inline:
+            self._site_profiled = vm.site_profile_functions = frozenset(
+                p.installed_name for p in self.profiles.values()
+                if p.state is STAGED)
+        self._bump_links()
 
     def register(self, entry: TierEntry) -> None:
         """Declare one tierable function (before or after attaching)."""
@@ -358,7 +419,7 @@ class TieringController:
         if self.inline:
             vm.site_profile_hook = self._on_site
             vm.site_miss_hook = self._on_site_miss
-            vm.site_profile_functions = frozenset(self._site_profiled)
+            vm.site_profile_functions = self._site_profiled
         # Activating the tier hook changes what generic names dispatch
         # to; drop any links made before attachment.
         self._bump_links()
@@ -381,9 +442,9 @@ class TieringController:
         for entry in entries:
             self.compiler.enqueue(entry.request, entry.result_addr)
         processed = self.compiler.process_requests()
+        if self.vm is not None and self.compiler.backend_functions:
+            self.vm.install_compiled(self.compiler.backend_functions)
         names = []
-        installs = 0
-        promoted = 0
         for entry, item in zip(entries, processed):
             profile = self.profiles[(entry.generic, entry.key)]
             if item.error is not None:
@@ -394,18 +455,11 @@ class TieringController:
                 continue
             profile.installed_name = item.function_name
             profile.table_index = item.table_index
-            tier = 2 if (self.want_py and item.function_name
-                         in self.compiler.backend_functions) else 1
-            if tier == 2 and profile.tier != 2:
-                installs += 1
-            profile.tier = tier
-            promoted += 1
+            self._transition(profile,
+                             self._compiled_state(item.function_name))
             names.append(item.function_name)
-        self.stats.promotions += promoted
-        self.stats.tier2_installs += installs
+        self.stats.promotions += len(names)
         self.stats.promote_seconds += time.perf_counter() - start
-        if self.vm is not None and self.compiler.backend_functions:
-            self.vm.install_compiled(self.compiler.backend_functions)
         return names
 
     # ------------------------------------------------------------------
@@ -471,7 +525,7 @@ class TieringController:
             profile.backedges += record["backedges"]
             profile.published_calls += record["calls"]
             profile.published_backedges += record["backedges"]
-            if profile.tier == 0 and \
+            if profile.state is COLD and \
                     profile.score(self.backedge_weight) >= self.threshold:
                 hot.append(entry)
         if not hot:
@@ -496,48 +550,42 @@ class TieringController:
                 self._last_profile.backedges += delta
         self._last_profile = profile
         profile.calls += 1
-        if profile.pinned_generic or profile.blacklisted:
-            # A containment verdict is final: this function serves tier 0
-            # for the rest of the session.
-            self.stats.tier0_calls += 1
-            return None
-        if profile.tier == 1 and self._staged_tier2:
+        state = profile.state
+        if state is COLD:
+            if self.speculate and profile.entry.speculate_args \
+                    and not profile.no_speculate:
+                samples = profile.samples
+                for index in profile.entry.speculate_args:
+                    seen = samples.get(index)
+                    if seen is None:
+                        samples[index] = args[index]
+                    elif seen is not _UNSTABLE and seen != args[index]:
+                        samples[index] = _UNSTABLE
+            if profile.score(self.backedge_weight) >= self.threshold and \
+                    self._may_attempt(profile):
+                name = self._promote_contained(profile)
+                if name is not None:
+                    return name
+        elif state is STAGED:
             # Promoted but deliberately unpatched: redirect to the
             # residual, and pay for tier 2 once it proves durable.
-            if (not profile.tier2_attempted
-                    and self._may_attempt(profile)
-                    and profile.calls - profile.calls_at_promotion
-                    >= self.compile_threshold):
+            if (profile.calls - profile.calls_at_promotion
+                    >= self.compile_threshold
+                    and self._may_attempt(profile)):
                 try:
                     self._install_tier2(profile)
                 except Exception as exc:
                     # Contained tier-2 failure: keep serving the tier-1
                     # residual and retry the install after backoff.
-                    profile.tier2_attempted = False
                     self._contain_failure(
                         profile, f"{type(exc).__name__}: {exc}")
-                    if profile.blacklisted:
-                        self.stats.tier0_calls += 1
-                        return None
+            if profile.state is not BLACKLISTED:
+                return profile.installed_name
+        elif state is TIER1 or state is TIER2:
             return profile.installed_name
-        if profile.tier != 0:
-            return profile.installed_name
-        if self.speculate and profile.entry.speculate_args \
-                and not profile.no_speculate:
-            samples = profile.samples
-            for index in profile.entry.speculate_args:
-                seen = samples.get(index)
-                if seen is None:
-                    samples[index] = args[index]
-                elif seen is not _UNSTABLE and seen != args[index]:
-                    samples[index] = _UNSTABLE
-        if profile.score(self.backedge_weight) >= self.threshold and \
-                self._may_attempt(profile):
-            name = self._promote_contained(profile)
-            if name is not None:
-                return name
         # Only now is the call certain to execute on the generic
-        # interpreter (every earlier path redirected it).
+        # interpreter (every earlier path redirected it).  BLACKLISTED
+        # and PINNED are final: tier 0 for the rest of the session.
         self.stats.tier0_calls += 1
         return None
 
@@ -545,12 +593,11 @@ class TieringController:
     # Fault containment (PR 9): quarantine, blacklist, storm breaker.
     # ------------------------------------------------------------------
     def _may_attempt(self, profile: FunctionProfile) -> bool:
-        """Whether containment policy permits a compile attempt now."""
-        if profile.blacklisted or profile.pinned_generic:
-            return False
-        if profile.retry_at_score is None:
-            return True
-        return profile.score(self.backedge_weight) >= profile.retry_at_score
+        """The quarantine gate: after a contained failure, the next
+        compile attempt waits until the backoff score is reached."""
+        return (profile.retry_at_score is None
+                or profile.score(self.backedge_weight)
+                >= profile.retry_at_score)
 
     def _promote_contained(self, profile: FunctionProfile) -> Optional[str]:
         """:meth:`_promote` under the containment policy: an exception
@@ -582,15 +629,7 @@ class TieringController:
         # next (unrelated) promotion does not replay a poisoned batch.
         self.compiler.pending = []
         if profile.compile_failures >= self.max_compile_failures:
-            if not profile.blacklisted:
-                profile.blacklisted = True
-                profile.tier = 0
-                self.stats.blacklists += 1
-                if self.vm is not None:
-                    # Force heap-level dispatch back to the generic path
-                    # (a staged install may have patched the slot).
-                    self.vm.store_u64(profile.entry.result_addr, 0)
-                self._bump_links()
+            self._transition(profile, BLACKLISTED)
             return
         if profile.compile_failures == 1:
             self.stats.quarantines += 1
@@ -601,44 +640,29 @@ class TieringController:
             (2 ** (profile.compile_failures - 1))
         profile.retry_at_score = \
             profile.score(self.backedge_weight) + backoff
+        if profile.state is STAGED:
+            # A failed tier-2 attempt may already have respecialized the
+            # residual (new name, patched slot): re-enter the state.
+            self._transition(profile, STAGED)
 
     def _record_deopt_event(self, profile: FunctionProfile) -> bool:
         """Feed one deopt/guard-miss event to the storm breaker; returns
-        True when it just pinned the function generic."""
-        if not self.storm_deopts or self.storm_deopts <= 0:
-            return False
+        True when it just pinned the function generic.
+
+        The pin is final: this function's speculation is systematically
+        wrong, so it serves tier 0 from now on.  In-flight frames of old
+        residuals still deopt safely (their fallback mappings survive).
+        """
         marks = profile.deopt_marks
         marks.append(profile.calls)
         cutoff = profile.calls - self.storm_window
         while marks and marks[0] < cutoff:
             marks.pop(0)
-        if len(marks) >= self.storm_deopts:
-            self._pin_generic(profile)
-            return True
-        return False
-
-    def _pin_generic(self, profile: FunctionProfile) -> None:
-        """Storm-breaker verdict: this function's speculation is
-        systematically wrong — serve it generically, permanently.
-        In-flight frames of old residuals still deopt safely (their
-        fallback mappings survive); new calls never leave tier 0."""
-        if profile.pinned_generic:
-            return
-        profile.pinned_generic = True
-        profile.tier = 0
+        if len(marks) < self.storm_deopts:
+            return False
         profile.no_speculate = True
-        self.stats.storm_pins += 1
-        if self.vm is not None:
-            self.vm.store_u64(profile.entry.result_addr, 0)
-        self._bump_links()
-        name = profile.installed_name
-        if name is not None:
-            self._speculative.pop(name, None)
-            if self.inline and name in self._site_profiled:
-                self._site_profiled.discard(name)
-                if self.vm is not None:
-                    self.vm.site_profile_functions = \
-                        frozenset(self._site_profiled)
+        self._transition(profile, PINNED)
+        return True
 
     # ------------------------------------------------------------------
     # Promotion.
@@ -682,69 +706,51 @@ class TieringController:
         profile.installed_name = name
         profile.table_index = item.table_index
         profile.calls_at_promotion = profile.calls
-        profile.tier2_attempted = False
         profile.active_request = request
-        vm = self.vm
         if speculative:
             # A failed guard must land in the *runnable* generic body.
-            vm.deopt_fallbacks[name] = entry.generic
+            self.vm.deopt_fallbacks[name] = entry.generic
             self._speculative[name] = profile
             self.stats.speculative_promotions += 1
-            self._bump_links()
-        if self._staged_tier2:
-            # Keep dispatch flowing through the hook until the function
-            # earns its backend compile: un-patch the slot the snapshot
-            # compiler just wrote.
-            vm.store_u64(entry.result_addr, 0)
-            profile.tier = 1
-            if self.inline:
-                # The tier-1 window doubles as the site-profiling
-                # window for this residual.
-                self._site_owner[name] = profile
-                self._site_profiled.add(name)
-                vm.site_profile_functions = frozenset(self._site_profiled)
-        elif self.want_py:
-            pyfunc = self.compiler.backend_functions.get(name)
-            if pyfunc is not None:
-                vm.install_compiled({name: pyfunc})
-                profile.tier = 2
-                self.stats.tier2_installs += 1
-            else:
-                profile.tier = 1  # emitter fallback: stays on the IR VM
-        else:
-            profile.tier = 1
+        if self.inline:
+            self._site_owner[name] = profile
+        # Staged: dispatch keeps flowing through the hook until the
+        # function earns its backend compile.
+        self._transition(profile, STAGED if self._staged_tier2
+                         else self._compiled_state(name))
         self.stats.promotions += 1
         self.stats.promote_seconds += time.perf_counter() - start
         return name
 
+    def _compiled_state(self, name: str) -> TierState:
+        """TIER2 when the backend compiled ``name``, else TIER1 (the vm
+        backend, or an emitter fallback that stays on the IR VM)."""
+        if self.want_py and name in self.compiler.backend_functions:
+            return TIER2
+        return TIER1
+
     def _install_tier2(self, profile: FunctionProfile) -> None:
-        """Compile an already-promoted residual to tier 2 and patch the
-        guest dispatch slot (staged mode only).  One attempt per
-        promotion: an emitter fallback leaves the function on the tier-1
-        residual for good.  With inlining on, this is also the moment
-        the site histograms gathered in the tier-1 window become an
-        inline plan and the residual is respecialized with it."""
-        profile.tier2_attempted = True
+        """Compile a STAGED residual to tier 2 and patch the guest
+        dispatch slot.  An emitter fallback leaves the function on the
+        tier-1 residual for good.  With inlining on, this is also the
+        moment the site histograms gathered in the tier-1 window become
+        an inline plan and the residual is respecialized with it."""
         if self.inline:
-            self._install_inline(profile)
+            plan = self._build_plan(profile)
+            if plan:
+                self._respecialize_with_plan(profile, plan)
+                self.stats.inline_sites_planned += len(plan)
         name = profile.installed_name
-        compiled = self.compiler.compile_backend([name])
-        if name in compiled:
-            self.vm.install_compiled({name: compiled[name]})
-            profile.tier = 2
-            self.stats.tier2_installs += 1
-        elif not any(f[0] == name
-                     for f in self.compiler.backend_fallbacks):
+        if name in self.compiler.compile_backend([name]):
+            self._transition(profile, TIER2)
+        elif any(f[0] == name for f in self.compiler.backend_fallbacks):
+            self._transition(profile, TIER1)
+        else:
             # Neither compiled nor a recorded emitter fallback: the emit
             # stage *crashed* (a fallback is the permanent "cannot
-            # express" verdict; a crash is transient).  Raise before the
-            # dispatch slot is patched so the function keeps flowing
-            # through the hook and the install is retried after backoff.
+            # express" verdict; a crash is transient).  The function
+            # stays STAGED and the install is retried after backoff.
             raise PromotionError(f"tier-2 emit failed for {name}")
-        self.vm.store_u64(profile.entry.result_addr, profile.table_index)
-        if self.inline:
-            self._site_profiled.discard(name)
-            self.vm.site_profile_functions = frozenset(self._site_profiled)
 
     # ------------------------------------------------------------------
     # Speculative inlining (plan building and per-site demotion).
@@ -764,8 +770,7 @@ class TieringController:
             return None
         if index == profile.table_index:
             return None  # self-recursion only grows the body
-        if self.inline_max_instrs is not None and \
-                callee.num_instrs() > self.inline_max_instrs:
+        if callee.num_instrs() > self.inline_max_instrs:
             return None
         if entry.inline_gate is not None and not entry.inline_gate(name):
             return None
@@ -798,15 +803,6 @@ class TieringController:
             plan.append((site, tuple(targets)))
         return tuple(plan)
 
-    def _install_inline(self, profile: FunctionProfile) -> None:
-        """Respecialize ``profile``'s function with an inline plan built
-        from its site histograms (no-op when no site qualifies)."""
-        plan = self._build_plan(profile)
-        if not plan:
-            return
-        self._respecialize_with_plan(profile, plan)
-        self.stats.inline_sites_planned += len(plan)
-
     def _respecialize_with_plan(self, profile: FunctionProfile,
                                 plan: tuple) -> None:
         """Compile and install the residual for ``active_request`` +
@@ -835,7 +831,6 @@ class TieringController:
             self._speculative[name] = self._speculative.pop(old_name)
         if self._needs_fallback(name):
             self.vm.deopt_fallbacks[name] = entry.generic
-            self._bump_links()
 
     def _needs_fallback(self, name: str) -> bool:
         """True when the installed residual contains an *unwinding*
@@ -880,8 +875,9 @@ class TieringController:
         the slow path / generic fallback — slower, never wrong) and the
         failure feeds the quarantine policy.
         """
-        if site in profile.no_inline_sites:
-            return  # in-flight frames of the retired residual
+        if site in profile.no_inline_sites or \
+                profile.state is BLACKLISTED or profile.state is PINNED:
+            return  # in-flight frames of a retired residual
         start = time.perf_counter()
         profile.no_inline_sites.add(site)
         self.stats.site_demotions += 1
@@ -891,15 +887,11 @@ class TieringController:
             plan = tuple(e for e in profile.inline_plan if e[0] != site)
             self._respecialize_with_plan(profile, plan)
             name = profile.installed_name
-            if profile.tier == 2:
-                compiled = self.compiler.compile_backend([name])
-                if name in compiled:
-                    self.vm.install_compiled({name: compiled[name]})
-                    self.stats.tier2_installs += 1
-                else:
-                    profile.tier = 1
-            self.vm.store_u64(profile.entry.result_addr,
-                              profile.table_index)
+            to = profile.state
+            if to is TIER2 and \
+                    name not in self.compiler.compile_backend([name]):
+                to = TIER1
+            self._transition(profile, to)
         except Exception as exc:
             self._contain_failure(profile, f"{type(exc).__name__}: {exc}")
         finally:
@@ -936,9 +928,8 @@ class TieringController:
             return
         profile.deopts += 1
         profile.no_speculate = True
-        profile.tier = 0
         self.stats.demotions += 1
-        self._bump_links()
+        self._transition(profile, COLD)
         if self._record_deopt_event(profile):
             return  # storm breaker: pinned generic, no replacement
         # Respecialize without the failed speculation and install the

@@ -35,6 +35,7 @@ from repro.min.harness import make_tiered_min, sum_to_n_program
 from repro.min.interp import PROGRAM_BASE, build_min_module
 from repro.pipeline.faults import SEAMS, FaultInjected, FaultPlan
 from repro.pipeline.profiles import open_profile_store
+from repro.pipeline.tiering import TierState
 from repro.vm import VM
 
 
@@ -59,6 +60,23 @@ def _traffic(endpoints, rounds=30):
         if i % 10 == 0:
             schedule.append((endpoints[2], 0))
     return schedule
+
+
+def _assert_tier_invariants(controller):
+    """Each profile's guest dispatch slot holds its table index in TIER1
+    and TIER2 and 0 in every other state; with inlining on, the VM
+    site-profiles exactly the STAGED residuals."""
+    vm = controller.vm
+    for profile in controller.profiles.values():
+        slot = vm.load_u64(profile.entry.result_addr)
+        if profile.state in (TierState.TIER1, TierState.TIER2):
+            assert slot == profile.table_index
+        else:
+            assert slot == 0
+    if controller.inline:
+        assert vm.site_profile_functions == {
+            p.installed_name for p in controller.profiles.values()
+            if p.state is TierState.STAGED}
 
 
 def _reference_results(endpoints, traffic):
@@ -103,6 +121,7 @@ class TestSeamOutages:
         # Nothing escaped: the report renders and the controller is
         # still serving (implicit in the loop having completed).
         assert "tier" in controller.report()
+        _assert_tier_invariants(controller)
 
     @pytest.mark.parametrize("seam", ["specialize", "verify"])
     def test_compile_outage_blacklists_hot_functions(self, tmp_path, seam):
@@ -143,6 +162,7 @@ class TestCombinedChaos:
             plan, tmp_path, publish_every=8)
         assert results == expected
         assert controller.report()  # observability survives chaos
+        _assert_tier_invariants(controller)
 
     def test_same_seed_fires_identically(self, tmp_path):
         def fired(seed):
@@ -180,7 +200,7 @@ class TestQuarantine:
         assert stats.quarantines == 1
         assert stats.quarantine_retries == 1
         assert stats.quarantine_recoveries == 1
-        assert not profile.blacklisted
+        assert profile.state is not TierState.BLACKLISTED
         assert profile.tier >= 1  # re-promoted after the backoff
         assert profile.compile_failures == 0  # reset on recovery
 
@@ -224,7 +244,7 @@ class TestQuarantine:
             assert vm.call("min_interp", _args(program, 2)) == \
                 ref.call("min_interp", _args(program, 2))
         profile = next(iter(controller.profiles.values()))
-        assert profile.blacklisted
+        assert profile.state is TierState.BLACKLISTED
         assert profile.tier == 0
         assert controller.stats.blacklists == 1
         assert controller.stats.compile_failures == \
@@ -274,7 +294,7 @@ class TestStormBreaker:
             assert vm.call("min_interp", _args(program, value)) == \
                 ref.call("min_interp", _args(program, value))
         profile = next(iter(controller.profiles.values()))
-        assert profile.pinned_generic
+        assert profile.state is TierState.PINNED
         assert profile.tier == 0
         assert controller.stats.storm_pins == 1
         assert controller.stats.demotions == 1
@@ -285,6 +305,32 @@ class TestStormBreaker:
                 ref.call("min_interp", _args(program, 6))
         assert controller.stats.promotions == promotions
         assert "storm_pins=1" in controller.report()
+
+    @pytest.mark.parametrize("backend", ["vm", "py"])
+    def test_failed_respecialize_after_deopt_zeroes_slot(self, backend):
+        """A guard miss whose replacement compile fails leaves the
+        function on tier 0 with its guest dispatch slot zeroed, not
+        pointing at the retired speculative residual."""
+        program = sum_to_n_program(25)
+        plan = FaultPlan.once("specialize", 1)  # the respecialize
+        vm, controller = make_tiered_min(
+            program, threshold=2, speculate=True,
+            options=SpecializeOptions(backend=backend, fault_plan=plan))
+        ref = VM(build_min_module(program))
+        for value in (3, 3, 3, 9):
+            assert vm.call("min_interp", _args(program, value)) == \
+                ref.call("min_interp", _args(program, value))
+        profile = next(iter(controller.profiles.values()))
+        assert controller.stats.deopts == 1
+        assert plan.fired == {"specialize": 1}
+        assert profile.tier == 0
+        assert profile.retry_at_score is not None  # quarantined
+        assert vm.load_u64(profile.entry.result_addr) == 0
+        for value in range(4, 24):
+            assert vm.call("min_interp", _args(program, value)) == \
+                ref.call("min_interp", _args(program, value))
+        assert profile.tier >= 1  # re-promoted after the backoff
+        assert controller.stats.deopts == 1
 
     def test_single_deopt_is_not_a_storm(self):
         program = sum_to_n_program(25)
@@ -297,7 +343,7 @@ class TestStormBreaker:
                 ref.call("min_interp", _args(program, value))
         profile = next(iter(controller.profiles.values()))
         # Default thresholds: demote-once respecializes, no pin.
-        assert not profile.pinned_generic
+        assert profile.state is not TierState.PINNED
         assert profile.tier >= 1
         assert controller.stats.storm_pins == 0
 

@@ -558,7 +558,7 @@ def test_js_inlined_differential(seed):
             runtime = JSRuntime(source, "wevaled", options=options)
             kwargs = dict(threshold=2, compile_threshold=3)
             if inline:
-                kwargs.update(inline=True, inline_min_site_calls=2)
+                kwargs.update(inline=True)
             vm = runtime.run_tiered(**kwargs)
             assert runtime.printed == reference.printed, (
                 f"seed {seed} inline={inline} mode {mode}:\n{source}\n"

@@ -401,7 +401,7 @@ class TestControllerInline:
         runtime = JSRuntime(PHASE_CHANGE_SRC, "wevaled",
                             options=SpecializeOptions(backend="py"))
         runtime.run_tiered(threshold=2, compile_threshold=3,
-                           inline=True, inline_min_site_calls=2)
+                           inline=True)
         assert runtime.printed == reference.printed
         stats = runtime.controller.stats
         assert stats.inline_sites_planned >= 1

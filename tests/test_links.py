@@ -344,7 +344,7 @@ class TestInvalidationMatrix:
         runtime = JSRuntime(PHASE_CHANGE_SRC, "wevaled",
                             options=SpecializeOptions(backend="py"))
         vm = runtime.run_tiered(threshold=2, compile_threshold=3,
-                                inline=True, inline_min_site_calls=2)
+                                inline=True)
         assert runtime.printed == reference.printed
         assert runtime.controller.stats.site_demotions == 1
         # The respecialize + reinstall of the repaired residual reset
