@@ -20,6 +20,7 @@ from repro.backend.emitter import (
     PyEmitter,
     StructuredEmitter,
     UnsupportedConstruct,
+    compile_emitted,
     compile_function,
     compile_functions,
     compile_python_source,
@@ -34,6 +35,7 @@ __all__ = [
     "PyEmitter",
     "StructuredEmitter",
     "UnsupportedConstruct",
+    "compile_emitted",
     "compile_function",
     "compile_functions",
     "compile_python_source",

@@ -51,9 +51,18 @@ Two emission modes share the per-instruction lowering:
   every observable total (call boundaries, the per-block fuel-limit
   check, final stats) is bit-identical to the VM's per-instruction
   accounting.  Irreducible SCCs (multi-entry cycles) fall back
-  *per-region* to a local dispatch tree over ``_b``; a region that
-  would nest past CPython's indentation limit falls back to the
-  dispatch emitter for the whole function.
+  *per-region* to a local dispatch tree over ``_b``.  A function whose
+  structured form would pass either of CPython's two static nesting
+  limits falls back to the dispatch emitter as a whole: indentation
+  (the parser rejects about 100 levels, see ``_MAX_DEPTH``) and
+  statically nested blocks (the compiler rejects more than 20 nested
+  ``while``/``try`` blocks, see ``_MAX_BLOCKS``).
+
+Both modes lower the 8-byte memory ops to typed-view indexing
+(``vm.memory_q``/``vm.memory_d``, bound as ``_MQ``/``_MD``) when the
+address is 8-aligned, after the unchanged bounds check; a misaligned
+address takes the byte-slice path.  NaN-box bit-casts go through
+precompiled ``struct.Struct`` methods.
 
 Anything the emitter cannot express raises
 :class:`UnsupportedConstruct`; callers fall back to the VM per function.
@@ -88,9 +97,9 @@ class UnsupportedConstruct(BackendError):
 
 
 class _StructureTooDeep(BackendError):
-    """Structured emission would exceed CPython's indentation limit;
-    the caller falls back to dispatch-mode emission for this function
-    (internal — never escapes :func:`compile_function`)."""
+    """Structured emission would exceed CPython's indentation or static
+    block limit; the caller falls back to dispatch-mode emission for
+    this function (internal — never escapes :func:`compile_function`)."""
 
 
 EMIT_MODES = ("structured", "dispatch")
@@ -108,8 +117,7 @@ _SIGNED_CMPS = {"ilt_s": "<", "ile_s": "<=", "igt_s": ">", "ige_s": ">="}
 _FLOAT_CMPS = {"feq": "==", "fne": "!=", "flt": "<", "fle": "<=",
                "fgt": ">", "fge": ">="}
 _HELPER_UNOPS = {"itof": "_itof", "ftoi": "_ftoi", "fsqrt": "_fsqrt",
-                 "ffloor": "_ffloor", "bits_ftoi": "_bits_ftoi",
-                 "bits_itof": "_bits_itof"}
+                 "ffloor": "_ffloor"}
 _HELPER_BINOPS = {"idiv_s": "_idiv_s", "idiv_u": "_idiv_u",
                   "irem_s": "_irem_s", "irem_u": "_irem_u",
                   "fdiv": "_fdiv", "ishr_s": "_ishr_s"}
@@ -118,6 +126,9 @@ _SIZED_LOADS = {"load8_u": (1, False), "load8_s": (1, True),
                 "load16_u": (2, False), "load16_s": (2, True),
                 "load32_u": (4, False), "load32_s": (4, True)}
 _SIZED_STORES = {"store8": 1, "store16": 2, "store32": 4}
+# 8-byte op -> (typed view of guest memory, is a load)
+_WORD_OPS = {"load64": ("_MQ", True), "store64": ("_MQ", False),
+             "loadf64": ("_MD", True), "storef64": ("_MD", False)}
 
 _INDENT = "    "
 
@@ -298,6 +309,10 @@ class PyEmitter:
         if "M" in used:
             bindings.append("M = vm.memory")
             bindings.append("_ML = len(M)")
+        if "_MQ" in used:
+            bindings.append("_MQ = vm.memory_q")
+        if "_MD" in used:
+            bindings.append("_MD = vm.memory_d")
         bindings.append("S = vm.stats")
         if "G" in used:
             bindings.append("G = vm.globals")
@@ -504,6 +519,11 @@ class PyEmitter:
             return [f"{r} = {_HELPER_BINOPS[op]}(v{args[0]}, v{args[1]})"]
         if op in _HELPER_UNOPS:
             return [f"{r} = {_HELPER_UNOPS[op]}(v{args[0]})"]
+        # NaN-box bit-casts through precompiled ``struct.Struct`` methods.
+        if op == "bits_ftoi":
+            return [f"{r} = _uq(_pd(v{args[0]}))[0]"]
+        if op == "bits_itof":
+            return [f"{r} = _ud(_pq(v{args[0]} & {MASK_HEX}))[0]"]
         if op == "fneg":
             return [f"{r} = -v{args[0]}"]
         if op == "fabs":
@@ -511,45 +531,31 @@ class PyEmitter:
         if op == "select":
             return [f"{r} = v{args[1]} if v{args[0]} else v{args[2]}"]
 
-        if op == "load64":
-            counters["loads"] += 1
-            self.used.update(("M", "_ifb"))
+        if op in _WORD_OPS:
+            # 8-byte ops: the bounds check (and its trap text) as on the
+            # VM, then typed-view indexing (``_MQ``/``_MD``) for an
+            # aligned address; a misaligned one takes the byte-slice path.
+            view, is_load = _WORD_OPS[op]
+            counters["loads" if is_load else "stores"] += 1
+            self.used.update(("M", view))
             pre: List[str] = []
             a = self._addr(instr, pre)
+            if op == "load64":
+                self.used.add("_ifb")
+                slow = f'{r} = _ifb(M[{a}:{a} + 8], "little")'
+            elif op == "loadf64":
+                slow = f'{r} = _upf("<d", M, {a})[0]'
+            elif op == "store64":
+                slow = f'M[{a}:{a} + 8] = v{args[1]}.to_bytes(8, "little")'
+            else:
+                slow = f'_pki("<d", M, {a}, v{args[1]})'
+            fast = (f"{r} = {view}[{a} >> 3]" if is_load
+                    else f"{view}[{a} >> 3] = v{args[1]}")
             return pre + [
                 f'if {a} < 0 or {a} + 8 > _ML: '
-                f'raise VMTrap("oob load64 at %#x" % {a})',
-                f'{r} = _ifb(M[{a}:{a} + 8], "little")',
-            ]
-        if op == "store64":
-            counters["stores"] += 1
-            self.used.add("M")
-            pre = []
-            a = self._addr(instr, pre)
-            return pre + [
-                f'if {a} < 0 or {a} + 8 > _ML: '
-                f'raise VMTrap("oob store64 at %#x" % {a})',
-                f'M[{a}:{a} + 8] = v{args[1]}.to_bytes(8, "little")',
-            ]
-        if op == "loadf64":
-            counters["loads"] += 1
-            self.used.add("M")
-            pre = []
-            a = self._addr(instr, pre)
-            return pre + [
-                f'if {a} < 0 or {a} + 8 > _ML: '
-                f'raise VMTrap("oob loadf64 at %#x" % {a})',
-                f'{r} = _upf("<d", M, {a})[0]',
-            ]
-        if op == "storef64":
-            counters["stores"] += 1
-            self.used.add("M")
-            pre = []
-            a = self._addr(instr, pre)
-            return pre + [
-                f'if {a} < 0 or {a} + 8 > _ML: '
-                f'raise VMTrap("oob storef64 at %#x" % {a})',
-                f'_pki("<d", M, {a}, v{args[1]})',
+                f'raise VMTrap("oob {op} at %#x" % {a})',
+                f"if {a} & 7: {slow}",
+                f"else: {fast}",
             ]
         if op in _SIZED_LOADS:
             counters["loads"] += 1
@@ -779,10 +785,20 @@ def _tarjan_sccs(succs: Dict[int, List[int]], entry: int
     return sccs
 
 
+# CPython has two static nesting limits, and structured emission falls
+# back to the dispatch emitter before reaching either.
+#
 # Indentation budget: CPython's parser rejects nesting around 100
 # levels; leave generous headroom for the skeleton, peepholes, and the
 # extra level the indirect-call inline cache nests inside a block.
 _MAX_DEPTH = 86
+# Static block budget: CPython's compiler rejects more than 20
+# statically nested blocks ("too many statically nested blocks";
+# ``while``, ``for``, ``try`` and ``with`` each open one, ``if`` does
+# not).  The body's depth-bookkeeping ``try`` takes one, which leaves
+# 19 for open scopes: loops, merge scopes and dispatch regions are each
+# one ``while True:``.
+_MAX_BLOCKS = 19
 
 
 class StructuredEmitter(PyEmitter):
@@ -853,6 +869,10 @@ class StructuredEmitter(PyEmitter):
         self._lines.append(_INDENT * self._depth + text)
 
     def _push_scope(self, scope: _Scope) -> None:
+        if len(self._scopes) >= _MAX_BLOCKS:
+            raise _StructureTooDeep(
+                f"{self.func.name}: structured nesting exceeds "
+                f"{_MAX_BLOCKS} static blocks")
         scope.st_mark = self._st_sets
         self._scopes.append(scope)
         self._line("while True:")
@@ -1241,6 +1261,20 @@ class StructuredEmitter(PyEmitter):
         return "\n".join(lines) + "\n"
 
 
+def compile_emitted(name: str, source: str) -> object:
+    """``compile()`` emitted backend source to a code object.
+
+    A source CPython rejects (a nesting limit the emitter's budgets
+    missed, say) raises :class:`UnsupportedConstruct`: the function
+    stays on the IR VM.
+    """
+    try:
+        return compile(source, f"<pybackend:{name}>", "exec")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise UnsupportedConstruct(
+            f"{name}: emitted source does not compile: {exc}") from exc
+
+
 def compile_python_source(name: str, source: str,
                           code: Optional[object] = None) -> Callable:
     """``compile()``/``exec()`` emitted backend source into a callable.
@@ -1254,11 +1288,7 @@ def compile_python_source(name: str, source: str,
     """
     env = dict(BACKEND_GLOBALS)
     if code is None:
-        try:
-            code = compile(source, f"<pybackend:{name}>", "exec")
-        except (SyntaxError, RecursionError, MemoryError) as exc:
-            raise UnsupportedConstruct(
-                f"{name}: emitted source does not compile: {exc}") from exc
+        code = compile_emitted(name, source)
     exec(code, env)
     pyfunc = env["_compiled"]
     pyfunc.__name__ = name
@@ -1273,10 +1303,10 @@ def emit_function_source(func: Function,
     """Emit Python source for ``func`` in the requested mode.
 
     Returns ``(source, mode_used, emitter)``.  Structured emission that
-    would nest past CPython's indentation limit falls back to the
-    dispatch emitter for the whole function (``mode_used`` reports what
-    actually happened — the fallback is deterministic, so cached
-    sources stay stable).
+    would nest past CPython's indentation or static block limit falls
+    back to the dispatch emitter for the whole function (``mode_used``
+    reports what actually happened — the fallback is deterministic, so
+    cached sources stay stable).
     """
     if mode not in EMIT_MODES:
         raise BackendError(f"unknown emit mode {mode!r}")

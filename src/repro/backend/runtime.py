@@ -86,12 +86,17 @@ def _ffloor(a: float) -> float:
     return float(math.floor(a))
 
 
-def _bits_ftoi(a: float) -> int:
-    return int.from_bytes(struct.pack("<d", a), "little")
+# NaN-box bit-casts: emitted code inlines ``_uq(_pd(x))[0]`` (f64 bits
+# to i64) and ``_ud(_pq(x & MASK64))[0]`` (i64 bits to f64) through these
+# precompiled structs.  Each pack returns fresh bytes, so there is no
+# shared scratch buffer for concurrent callers to race on.
+_STRUCT_Q = struct.Struct("<Q")
+_STRUCT_D = struct.Struct("<d")
 
 
 def _bits_itof(a: int) -> float:
-    return struct.unpack("<d", (a & MASK64).to_bytes(8, "little"))[0]
+    """Non-finite ``fconst`` literals (see ``emitter._float_literal``)."""
+    return _STRUCT_D.unpack(_STRUCT_Q.pack(a & MASK64))[0]
 
 
 def _sext(raw: int, bits: int) -> int:
@@ -128,8 +133,11 @@ BACKEND_GLOBALS = {
     "_fdiv": _fdiv,
     "_fsqrt": _fsqrt,
     "_ffloor": _ffloor,
-    "_bits_ftoi": _bits_ftoi,
     "_bits_itof": _bits_itof,
+    "_pq": _STRUCT_Q.pack,
+    "_uq": _STRUCT_Q.unpack,
+    "_pd": _STRUCT_D.pack,
+    "_ud": _STRUCT_D.unpack,
     "_sext": _sext,
     "_exhaust": _exhaust,
     "_upf": struct.unpack_from,

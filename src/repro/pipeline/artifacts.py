@@ -78,7 +78,8 @@ ARTIFACT_VERSION = 3  # 3: inline plans in request keys, guard imm forms
 # Bump on any change to the Python backend's emitted-code shape (the
 # ``py/`` entries cache emitter *output*, so the emitter itself is part
 # of their identity).
-EMITTER_VERSION = 4  # 4: link slots, fixed-arity entries, callee depth
+EMITTER_VERSION = 5  # 5: typed-view 8-byte memory ops, inline bit-casts,
+#                      static block budget for structured emit
 
 HIT = "hit"
 MISS = "miss"

@@ -316,7 +316,11 @@ class CompilationEngine:
         means "compile from source"; any marshal/interpreter skew in the
         store degrades to that silently.
         """
-        from repro.backend import UnsupportedConstruct, emit_function_source
+        from repro.backend import (
+            UnsupportedConstruct,
+            compile_emitted,
+            emit_function_source,
+        )
         mode = self.options.emit_mode
         fp = None
         if self.store is not None:
@@ -326,35 +330,20 @@ class CompilationEngine:
                 return cached[0], cached[1], cached[2], status
         if self.fault_plan is not None:
             self.fault_plan.check("emit")
+        code = code_bytes = fallback = None
         try:
             source, _mode_used, _emitter = emit_function_source(
                 func, self.module, mode=mode)
-            fallback = None
+            # Compiled here, once: a source CPython rejects becomes the
+            # stored fallback verdict, so no warm start compiles it again.
+            code = compile_emitted(func.name, source)
+            code_bytes = marshal.dumps(code)
         except UnsupportedConstruct as exc:
             source, fallback = None, str(exc)
-        code = code_bytes = None
-        if source is not None:
-            code, code_bytes = self._precompile(func.name, source)
         if self.store is not None:
             self.store.store_py_source(fp, source, fallback, mode,
                                        code_bytes=code_bytes)
         return source, fallback, code, MISS
-
-    @staticmethod
-    def _precompile(name: str, source: str) -> Tuple[Optional[object],
-                                                     Optional[bytes]]:
-        """``compile()`` emitted source ahead of its ``exec``.
-
-        The filename matches ``compile_python_source`` exactly so
-        tracebacks are identical on both paths.  A source that does not
-        compile returns ``(None, None)`` — :meth:`_finalize` recompiles
-        and converts the failure into a backend fallback.
-        """
-        try:
-            code = compile(source, f"<pybackend:{name}>", "exec")
-            return code, marshal.dumps(code)
-        except Exception:
-            return None, None
 
     def _finalize(self, plan: _Plan) -> EngineResult:
         """Turn a finished plan into a result; ``exec`` emitted source

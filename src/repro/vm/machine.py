@@ -13,12 +13,22 @@ correctness).  State intrinsics (registers/locals/stack) are only present
 in the specialized variant of an interpreter and therefore have no
 polyfill; calling one from the VM is an error (matching the paper's
 "two versions of the interpreter body" approach, S4.3).
+
+Guest memory is one fixed-size ``bytearray`` per VM, never rebound or
+resized.  The VM exports two typed views over its 8-aligned prefix,
+``memory_q`` (``'Q'``) and ``memory_d`` (``'d'``), which compiled code
+indexes for aligned 8-byte loads and stores; while they exist, a resize
+of ``memory`` raises ``BufferError``.  The views read native byte order
+and guest memory is little-endian, so the module refuses to import on a
+big-endian host.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import struct
+import sys
 from typing import Dict, List, Optional
 
 from repro.ir.function import Function, Signature
@@ -33,6 +43,11 @@ from repro.ir.instructions import (
     wrap_i64,
 )
 from repro.ir.module import Module
+
+if sys.byteorder != "little":
+    raise ImportError(
+        "repro.vm needs a little-endian host: compiled code reads guest "
+        "memory (little-endian) through native-order typed views")
 
 
 class VMTrap(Exception):
@@ -113,6 +128,12 @@ class VM:
                  compiled: Optional[Dict[str, object]] = None):
         self.module = module
         self.memory = bytearray(module.memory_init)
+        # Typed views for aligned 8-byte access from compiled code (see
+        # the module docstring); the cast needs a length that is a
+        # multiple of 8, so a ragged tail stays byte-addressed only.
+        words = memoryview(self.memory)[:len(self.memory) & ~7]
+        self.memory_q = words.cast("Q")
+        self.memory_d = words.cast("d")
         self.globals: Dict[str, int] = dict(module.globals)
         self.stats = ExecStats()
         self.fuel_limit = fuel_limit
@@ -174,7 +195,6 @@ class VM:
         self._link_slots = self.links._functions
         # Guest calls map to Python recursion (a handful of Python frames
         # per guest frame); make sure the guest limit is hit first.
-        import sys
         if sys.getrecursionlimit() < 20000:
             sys.setrecursionlimit(20000)
 
@@ -202,12 +222,10 @@ class VM:
         self.memory[addr:addr + 8] = (value & MASK64).to_bytes(8, "little")
 
     def load_f64(self, addr: int) -> float:
-        import struct
         self._check_range(addr, 8)
         return struct.unpack_from("<d", self.memory, addr)[0]
 
     def store_f64(self, addr: int, value: float) -> None:
-        import struct
         self._check_range(addr, 8)
         struct.pack_into("<d", self.memory, addr, value)
 
@@ -528,11 +546,9 @@ class VM:
                         raise VMTrap("invalid float-to-int conversion")
                     env[instr.result] = wrap_i64(int(a))
                 elif op == "bits_ftoi":
-                    import struct
                     env[instr.result] = int.from_bytes(
                         struct.pack("<d", env[instr.args[0]]), "little")
                 elif op == "bits_itof":
-                    import struct
                     env[instr.result] = struct.unpack(
                         "<d", (env[instr.args[0]] & MASK64).to_bytes(
                             8, "little"))[0]
@@ -581,7 +597,6 @@ class VM:
                     ).to_bytes(size, "little")
                 elif op == "loadf64":
                     stats.loads += 1
-                    import struct
                     addr = env[instr.args[0]] + instr.imm
                     if addr < 0 or addr + 8 > len(memory):
                         raise VMTrap(f"oob loadf64 at {addr:#x}")
@@ -589,7 +604,6 @@ class VM:
                         "<d", memory, addr)[0]
                 elif op == "storef64":
                     stats.stores += 1
-                    import struct
                     addr = env[instr.args[0]] + instr.imm
                     if addr < 0 or addr + 8 > len(memory):
                         raise VMTrap(f"oob storef64 at {addr:#x}")

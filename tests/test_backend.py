@@ -13,7 +13,11 @@ differential corpus does not isolate:
 * ``br_table`` out-of-range defaulting (including huge indices) and
   branch-argument passing on table edges;
 * fuel determinism and ``OutOfFuel`` agreement under a fuel limit;
-* per-function fallback for constructs the emitter rejects.
+* per-function fallback for constructs the emitter rejects;
+* CPython's static block limit (the structured emitter's block budget
+  and its dispatch fallback);
+* typed-view 8-byte memory ops at every alignment and bound, and
+  bit-exact NaN-box casts.
 """
 
 import random
@@ -29,7 +33,7 @@ from repro.core.specialize import SpecializeOptions
 from repro.ir.function import Function, Signature
 from repro.ir.instructions import BlockCall, BrTable, Instr, Jump, Ret
 from repro.ir.module import Module
-from repro.ir.types import I64
+from repro.ir.types import F64, I64
 from repro.min.interp import PROGRAM_BASE, build_min_module, specialize_min
 from repro.min.harness import sum_to_n_program
 from repro.vm import VM, OutOfFuel, VMTrap
@@ -410,3 +414,334 @@ def test_float_literal_source_forms():
                  0x7FF8DEADBEEFCAFE):
         literal, needs = _float_literal(_bits_to_float(bits))
         assert needs and literal == f"_bits_itof({bits:#x})"
+
+
+# ---------------------------------------------------------------------------
+# CPython's static block limit: the structured emitter's block budget.
+# ---------------------------------------------------------------------------
+
+def _static_block_probe(nested: int) -> str:
+    """The structured body's skeleton: a function whose ``try`` holds
+    ``nested`` nested ``while True:`` scopes."""
+    lines = ["def _compiled(vm):", "    try:"]
+    for depth in range(nested):
+        lines.append("    " * (depth + 2) + "while True:")
+    lines.append("    " * (nested + 2) + "break")
+    lines += ["    finally:", "        pass"]
+    return "\n".join(lines) + "\n"
+
+
+def test_block_budget_fits_running_interpreter():
+    """The budget must compile on every interpreter the project runs
+    on; if this interpreter's limit moved, this fails here rather than
+    a guest request falling back to the VM."""
+    from repro.backend.emitter import _MAX_BLOCKS
+    compile(_static_block_probe(_MAX_BLOCKS), "<probe>", "exec")
+    try:
+        compile(_static_block_probe(_MAX_BLOCKS + 1), "<probe>", "exec")
+    except SyntaxError as exc:
+        assert "too many statically nested blocks" in str(exc)
+    # else: this interpreter allows more blocks; the budget is merely
+    # conservative.
+
+
+def _nested_loops_module(levels: int) -> Module:
+    """``nest()``: ``levels`` statically nested counting loops whose
+    counters live in guest memory (word ``l`` counts level ``l``).  The
+    outermost loop runs twice, every inner one once, and the innermost
+    body prints the accumulator through a host import."""
+    from repro.ir import FunctionBuilder
+    from repro.ir.module import HostFunc
+
+    fb = FunctionBuilder("nest", Signature((), (I64,)))
+    pres = [fb.new_block([I64]) for _ in range(levels)]
+    heads = [fb.new_block([I64]) for _ in range(levels)]
+    bodies = [fb.new_block([I64]) for _ in range(levels)]
+    exits = [fb.new_block([I64]) for _ in range(levels)]
+    fb.jump(pres[0], [fb.iconst(1)])
+    for level in range(levels):
+        addr = 8 * level
+        fb.switch_to(pres[level])
+        (acc,) = pres[level].param_values()
+        fb.store64(fb.iconst(addr), fb.iconst(2 if level == 0 else 1))
+        fb.jump(heads[level], [acc])
+
+        fb.switch_to(heads[level])
+        (acc,) = heads[level].param_values()
+        count = fb.load64(fb.iconst(addr))
+        fb.br_if(fb.ine(count, fb.iconst(0)), bodies[level],
+                 exits[level], [acc], [acc])
+
+        fb.switch_to(bodies[level])
+        (acc,) = bodies[level].param_values()
+        base = fb.iconst(addr)
+        fb.store64(base, fb.isub(fb.load64(base), fb.iconst(1)))
+        acc = fb.iadd(fb.imul(acc, fb.iconst(3)), fb.iconst(level))
+        if level + 1 < levels:
+            fb.jump(pres[level + 1], [acc])
+        else:
+            fb.call("out", [acc])
+            fb.jump(heads[level], [acc])
+
+        fb.switch_to(exits[level])
+        (acc,) = exits[level].param_values()
+        if level == 0:
+            fb.ret(acc)
+        else:
+            fb.jump(heads[level - 1], [acc])
+    module = Module(memory_size=8 * levels)
+    module.add_import(HostFunc(
+        "out", Signature((I64,), ()),
+        lambda vm, value: vm.printed.append(value)))
+    module.add_function(fb.finish())
+    return module
+
+
+def _run_nest(module: Module, pyfunc, fuel_limit=None):
+    vm = VM(module, fuel_limit=fuel_limit)
+    vm.printed = []
+    if pyfunc is not None:
+        vm.install_compiled({"nest": pyfunc})
+    try:
+        outcome = ("ok", vm.call("nest", []))
+    except OutOfFuel:
+        outcome = ("out-of-fuel", None)
+    return outcome, vm.printed, vm.stats.fuel, bytes(vm.memory)
+
+
+def test_block_budget_falls_back_to_dispatch():
+    """A function whose structured form needs more than the budget's
+    nested scopes is emitted whole in dispatch mode, deterministically,
+    and stays VM-identical at every fuel limit."""
+    module = _nested_loops_module(21)
+    func = module.functions["nest"]
+    compiled = compile_function(func, module)
+    assert compiled.emit_mode == "dispatch"
+    assert compile_function(func, module).source == compiled.source
+    reference = _run_nest(module, None)
+    assert reference[0][0] == "ok" and len(reference[1]) == 2
+    assert _run_nest(module, compiled.pyfunc) == reference
+    for limit in range(1, reference[2] + 2):
+        assert _run_nest(module, compiled.pyfunc, limit) == \
+            _run_nest(module, None, limit), f"fuel limit {limit}"
+
+
+def test_block_budget_boundary_compiles_in_both_forms():
+    """Every nesting depth compiles; structured emission holds up to
+    the budget and hands over to dispatch exactly once past it."""
+    modes = []
+    for levels in range(1, 26):
+        module = _nested_loops_module(levels)
+        compiled = compile_function(module.functions["nest"], module)
+        modes.append(compiled.emit_mode)
+        assert _run_nest(module, compiled.pyfunc) == \
+            _run_nest(module, None), f"{levels} levels"
+    from repro.backend.emitter import _MAX_BLOCKS
+    # One scope per loop level: the budget's worth of levels still fits.
+    switch = modes.index("dispatch")
+    assert switch == _MAX_BLOCKS
+    assert set(modes[:switch]) == {"structured"}
+    assert set(modes[switch:]) == {"dispatch"}
+
+
+# ---------------------------------------------------------------------------
+# Typed-view 8-byte memory ops and NaN-box bit-casts.
+# ---------------------------------------------------------------------------
+
+# NaN payloads (quiet and signaling, both signs), signed zeros, infinities.
+_SPECIAL_FLOAT_BITS = (0x7FF8000000000000, 0xFFF8000000000000,
+                       0x7FF8DEADBEEFCAFE, 0x7FF0000000000001,
+                       0xFFF0000000000BAD, 0x0000000000000000,
+                       0x8000000000000000, 0x7FF0000000000000,
+                       0xFFF0000000000000, 0x3FF0000000000000)
+
+
+def _word_ops_module(memory_size: int) -> Module:
+    """One function per 8-byte op, each returning or taking raw bits so
+    NaN payloads compare exactly: ``ld``/``ldf`` load at ``a``,
+    ``st``/``stf`` store ``bits`` at ``a``; the ``*_off`` variants add
+    a static offset of 3 (the alignment comes from base + offset) and
+    ``ld_neg`` one of -16 (a negative effective address).  The memory
+    op ends its block, so a trapping op leaves the same counters on
+    both backends (compiled code charges per block)."""
+    from repro.ir import FunctionBuilder
+
+    module = Module(memory_size=memory_size)
+    rng = random.Random(0x7E5)
+    module.memory_init[:] = bytes(rng.getrandbits(8)
+                                  for _ in range(memory_size))
+    # Special float patterns at known aligned and misaligned spots.
+    for k, bits in enumerate(_SPECIAL_FLOAT_BITS):
+        module.memory_init[64 + 8 * k:72 + 8 * k] = bits.to_bytes(8,
+                                                                  "little")
+        module.memory_init[161 + 8 * k:169 + 8 * k] = bits.to_bytes(
+            8, "little")
+
+    def loader(name, op, offset):
+        fb = FunctionBuilder(name, Signature((I64,), (I64,)))
+        (a,) = fb.entry.param_values()
+        value = fb.emit(op, (a,), imm=offset)
+        tail = fb.new_block([I64 if op == "load64" else F64])
+        fb.jump(tail, [value])
+        fb.switch_to(tail)
+        (value,) = tail.param_values()
+        if op == "loadf64":
+            value = fb.emit("bits_ftoi", (value,))
+        fb.ret(value)
+        module.add_function(fb.finish())
+
+    def storer(name, op, offset):
+        fb = FunctionBuilder(name, Signature((I64, I64), (I64,)))
+        a, bits = fb.entry.param_values()
+        if op == "storef64":
+            bits = fb.emit("bits_itof", (bits,))
+        fb.emit(op, (a, bits), imm=offset)
+        tail = fb.new_block()
+        fb.jump(tail)
+        fb.switch_to(tail)
+        fb.ret(fb.iconst(0))
+        module.add_function(fb.finish())
+
+    for suffix, offset in (("", 0), ("_off", 3)):
+        loader("ld" + suffix, "load64", offset)
+        loader("ldf" + suffix, "loadf64", offset)
+        storer("st" + suffix, "store64", offset)
+        storer("stf" + suffix, "storef64", offset)
+    loader("ld_neg", "load64", -16)
+    loader("ldf_neg", "loadf64", -16)
+    storer("st_neg", "store64", -16)
+    storer("stf_neg", "storef64", -16)
+    return module
+
+
+def _word_run(module, compiled, name, args):
+    vm = VM(module)
+    if compiled is not None:
+        vm.install_compiled({name: compiled[name]})
+    try:
+        outcome = ("ok", vm.call(name, list(args)))
+    except VMTrap as trap:
+        outcome = ("trap", str(trap))
+    stats = vm.stats
+    return (outcome, stats.fuel, stats.loads, stats.stores,
+            bytes(vm.memory))
+
+
+@pytest.mark.parametrize("memory_size", [4096, 4099])
+@pytest.mark.parametrize("mode", ["structured", "dispatch"])
+def test_word_ops_match_vm(memory_size, mode):
+    module = _word_ops_module(memory_size)
+    compiled, fallbacks = compile_functions(module, mode=mode)
+    assert not fallbacks
+    size = memory_size
+    addrs = [64, 72, 4000]                          # aligned
+    addrs += [64 + k for k in range(1, 8)]          # every misalignment
+    addrs += [size - 8, (size & ~7) - 8]            # last valid word
+    addrs += [size - 7, size, size + 8]             # a + 8 == len + 1, past
+    addrs += [MASK64 - 7, MASK64, TWO63]            # huge (unsigned) bases
+    addrs += [161 + 8 * k for k in range(len(_SPECIAL_FLOAT_BITS))]
+    addrs += [0, 8, 15, 16]                         # negative under -16
+    store_bits = _SPECIAL_FLOAT_BITS + (0x0123456789ABCDEF, MASK64)
+    for suffix in ("", "_off", "_neg"):
+        for a_arg in addrs:
+            for name in ("ld", "ldf"):
+                fn = name + suffix
+                got = _word_run(module, compiled, fn, (a_arg,))
+                assert got == _word_run(module, None, fn, (a_arg,)), (
+                    f"{mode} {fn}({a_arg:#x})")
+            for name in ("st", "stf"):
+                fn = name + suffix
+                for bits in store_bits:
+                    got = _word_run(module, compiled, fn, (a_arg, bits))
+                    want = _word_run(module, None, fn, (a_arg, bits))
+                    assert got == want, (
+                        f"{mode} {fn}({a_arg:#x}, {bits:#x})")
+
+
+@pytest.mark.parametrize("mode", ["structured", "dispatch"])
+def test_bit_casts_roundtrip_exactly(mode):
+    """``bits_itof`` then ``bits_ftoi`` is the identity on every pattern
+    (NaN payloads, -0.0, +-inf included) and matches the VM."""
+    from repro.ir import FunctionBuilder
+    fb = FunctionBuilder("rt", Signature((I64,), (I64,)))
+    (bits,) = fb.entry.param_values()
+    fb.ret(fb.emit("bits_ftoi", (fb.emit("bits_itof", (bits,)),)))
+    module = Module(memory_size=64)
+    module.add_function(fb.finish())
+    pyfunc = compile_function(module.functions["rt"], module,
+                              mode=mode).pyfunc
+    rng = random.Random(0xB175)
+    patterns = list(_SPECIAL_FLOAT_BITS) + [rng.getrandbits(64)
+                                            for _ in range(64)]
+    for bits in patterns:
+        vm = VM(module)
+        vm.install_compiled({"rt": pyfunc})
+        assert vm.call("rt", [bits]) == VM(module).call("rt", [bits]) \
+            == bits, f"{mode} {bits:#018x}"
+
+
+# ---------------------------------------------------------------------------
+# Steady-state residuals stay compiled.
+# ---------------------------------------------------------------------------
+
+_LUA_CHUNKS = {
+    "fib": """
+function fib(n)
+  if n < 2 then return n end
+  return fib(n-1) + fib(n-2)
+end
+print(fib(14))
+""",
+    "sumloop": """
+function sumloop(n)
+  local total = 0
+  for i = 1, n do
+    total = total + i * i
+  end
+  return total
+end
+print(sumloop(800))
+""",
+    "nested": """
+function inner(a, b)
+  return a * b + a - b
+end
+function outer(n)
+  local acc = 0
+  for i = 1, n do
+    for j = 1, 5 do
+      acc = acc + inner(i, j)
+    end
+  end
+  return acc % 1000000
+end
+print(outer(120))
+""",
+}
+
+
+def _aot_programs():
+    from repro.jsvm.workloads import BENCHMARK_NAMES
+    return [("js", name) for name in BENCHMARK_NAMES] + \
+        [("lua", name) for name in _LUA_CHUNKS]
+
+
+@pytest.mark.parametrize("kind,name", _aot_programs(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_aot_compiles_without_backend_fallbacks(kind, name):
+    """Every residual of the Octane analogs and the Lua chunks compiles
+    to Python: none is left on the IR VM (mandreel's ``js$body`` once
+    was, by passing CPython's static block limit)."""
+    options = SpecializeOptions(backend="py")
+    if kind == "js":
+        from repro.jsvm import JSRuntime
+        from repro.jsvm.workloads import WORKLOADS
+        runtime = JSRuntime(WORKLOADS[name], "wevaled_state",
+                            options=options)
+        runtime.aot_compile()
+    else:
+        from repro.luavm import LuaRuntime
+        runtime = LuaRuntime(_LUA_CHUNKS[name], options=options)
+        runtime.aot_compile()
+    runtime.compiler.compile_backend()
+    assert runtime.compiler.backend_fallbacks == []

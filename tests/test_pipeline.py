@@ -287,6 +287,54 @@ class TestWarmStart:
         assert skewed.backend_source_hits == warm.backend_source_hits
         assert (printed, fuel) == (cold_printed, cold_fuel)
 
+    def test_uncompilable_source_is_a_stored_fallback(self, tmp_path,
+                                                      monkeypatch):
+        """Emitted source that CPython rejects is compiled once, at emit
+        time, and stored as the fallback verdict; a warm engine reports
+        that verdict without calling ``compile()`` again."""
+        import builtins
+        import repro.backend
+        options = SpecializeOptions(backend="py", cache_dir=str(tmp_path))
+        real_compile = builtins.compile
+        backend_compiles = []
+
+        def counting_compile(source, filename, *args, **kwargs):
+            if str(filename).startswith("<pybackend:"):
+                backend_compiles.append(filename)
+            return real_compile(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", counting_compile)
+        real_emit = repro.backend.emit_function_source
+
+        def broken_emit(func, module=None, mode="structured", **kwargs):
+            source, used, emitter = real_emit(func, module, mode, **kwargs)
+            if func.name == "spec_a":
+                source += "def broken(:\n"
+            return source, used, emitter
+
+        monkeypatch.setattr(repro.backend, "emit_function_source",
+                            broken_emit)
+        cold = CompilationEngine(build_module(), options)
+        results = cold.compile_batch(make_requests())
+        assert results[0].pyfunc is None
+        assert results[0].fallback_reason.startswith(
+            "spec_a: emitted source does not compile: ")
+        assert results[1].pyfunc is not None
+        assert cold.stats.backend_fallbacks == 1
+        assert backend_compiles == ["<pybackend:spec_a>",
+                                    "<pybackend:spec_b>"]
+
+        monkeypatch.setattr(repro.backend, "emit_function_source",
+                            real_emit)
+        backend_compiles.clear()
+        warm = CompilationEngine(build_module(), options)
+        again = warm.compile_batch(make_requests())
+        assert again[0].fallback_reason == results[0].fallback_reason
+        assert again[0].pyfunc is None and again[1].pyfunc is not None
+        assert warm.stats.backend_source_hits == 2
+        assert warm.stats.backend_fallbacks == 1
+        assert backend_compiles == []
+
     def test_memory_change_invalidates(self, tmp_path):
         options = SpecializeOptions(cache_dir=str(tmp_path))
         run_snapshot(options)
